@@ -4,6 +4,10 @@ Command line front end.
 Every subcommand validates its input before computing, writes results to
 stdout and diagnostics to stderr, and produces byte-identical output for
 identical invocations.
+
+Exit status: 0 on success, 1 when `verify` finds a disagreement, 2 for
+input that cannot be parsed or does not fit the command, 3 for an internal
+error (a failed invariant check), which is a bug.
 """
 
 from __future__ import annotations
@@ -279,6 +283,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, RuntimeError) as exc:
+        # A failed invariant or guard is a fault of the program, not the input.
+        message = str(exc) or type(exc).__name__
+        print(f"internal error (a bug, please report): {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

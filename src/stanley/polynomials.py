@@ -424,6 +424,11 @@ def eg_coeffs(w: Perm, method: str = "tableaux") -> dict[tuple[int, ...], int]:
     - "mls_leaves": Lehmer codes of the modified transition tree leaves
     - "monomial":   Schur expansion of the truncated Stanley polynomial
 
+    The default "tableaux" route builds the reduced word tableaux down the
+    weak order by EG insertion alone (enumerate_reduced_word_tableaux), so
+    its cost grows with the elements below the inverse of w and their
+    tableaux, not with the number of reduced words.
+
     >>> eg_coeffs((2, 1, 3)) == {(1,): 1}
     True
     """

@@ -5,6 +5,11 @@ A tableau is a tuple of rows, each row a tuple of positive integers, with
 weakly decreasing row lengths.  "Increasing" means rows and columns are both
 strictly increasing.
 
+The reduced word tableaux of w are the insertion tableaux of the reduced
+words of the inverse of w.  They are enumerated down the weak order,
+inserting one descent at a time into the tableaux of the element below, so
+the work is per (element, tableau) rather than per reduced word.
+
 >>> eg_insert((2, 1, 2))
 (((1, 2), (2,)), ((1, 3), (2,)))
 """
@@ -17,9 +22,10 @@ from typing import Iterable
 from .permutations import (
     Perm,
     code_partition,
+    descents,
     inverse,
     is_dominant,
-    reduced_words,
+    multiply_simple,
 )
 from .words import Word, evaluate, is_reduced
 
@@ -86,15 +92,35 @@ def column_reading_word(t: Tableau) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _row_insert(rows: list[list[int]], x: int) -> int:
+    """
+    Row-insert x into the increasing tableau rows, in place, and return the
+    index of the row that gained a box.
+
+    Append if x exceeds the last entry; otherwise bump the leftmost entry
+    y > x, replacing it by x only when that keeps the row strictly
+    increasing (when x already sits just left of y the row is kept as is).
+    """
+    for r, row in enumerate(rows):
+        if x > row[-1]:
+            row.append(x)
+            return r
+        j = bisect_right(row, x)
+        # j < len(row) since x <= row[-1] and x equal to the row maximum
+        # cannot happen while inserting a reduced word.
+        assert j < len(row), f"letter {x} equals the maximum of row {row}"
+        y = row[j]
+        if j == 0 or row[j - 1] < x:
+            row[j] = x
+        x = y
+    rows.append([x])
+    return len(rows) - 1
+
+
 def eg_insert(letters: Iterable[int]) -> tuple[Tableau, Tableau]:
     """
-    Insert a word letter by letter, returning the insertion tableau P and
-    the standard recording tableau Q.
-
-    Row insertion of x: append if x exceeds the last entry; otherwise bump
-    the leftmost entry y > x, replacing it by x only when that keeps the row
-    strictly increasing (when x already sits just left of y the row is kept
-    as is).
+    Insert a word letter by letter (see _row_insert), returning the
+    insertion tableau P and the standard recording tableau Q.
 
     >>> eg_insert((2, 3, 1, 6, 4, 3, 2))[0]
     ((1, 2, 4), (2, 3), (4,), (6,))
@@ -104,26 +130,11 @@ def eg_insert(letters: Iterable[int]) -> tuple[Tableau, Tableau]:
     rows: list[list[int]] = []
     recording: list[list[int]] = []
     for time, x in enumerate(letters, start=1):
-        r = 0
-        while True:
-            if r == len(rows):
-                rows.append([x])
-                recording.append([time])
-                break
-            row = rows[r]
-            if x > row[-1]:
-                row.append(x)
-                recording[r].append(time)
-                break
-            j = bisect_right(row, x)
-            # j < len(row) since x <= row[-1] and x equal to the row maximum
-            # cannot happen while inserting a reduced word.
-            assert j < len(row), f"letter {x} equals the maximum of row {row}"
-            y = row[j]
-            if j == 0 or row[j - 1] < x:
-                row[j] = x
-            x = y
-            r += 1
+        r = _row_insert(rows, x)
+        if r == len(recording):
+            recording.append([time])
+        else:
+            recording[r].append(time)
     return (
         tuple(tuple(row) for row in rows),
         tuple(tuple(row) for row in recording),
@@ -164,11 +175,38 @@ def is_reduced_word_tableau(t: Tableau, w: Perm) -> bool:
 def enumerate_reduced_word_tableaux(w: Perm) -> list[Tableau]:
     """
     All increasing tableaux whose column reading word is a reduced word of
-    w, built by inserting every reduced word of the inverse permutation.
+    w: the insertion tableaux of the reduced words of the inverse v of w.
     Sorted by shape, then by row reading word.
+
+    Insertion is online and a reduced word of v ends in a descent d with
+    the rest a reduced word of v s_d.  So the tableaux of v are P <- d over
+    the descents d of v and the tableaux P of v s_d, computed down the weak
+    order with one set per element below v, never one word at a time.
+
+    >>> enumerate_reduced_word_tableaux((3, 2, 1))
+    [((1, 2), (2,))]
     """
-    seen = {insertion_tableau(b) for b in reduced_words(inverse(w))}
-    return sorted(seen, key=lambda t: (shape(t), row_reading_word(t)))
+    return sorted(
+        _tableaux_of(inverse(w), {}), key=lambda t: (shape(t), row_reading_word(t))
+    )
+
+
+def _tableaux_of(v: Perm, memo: dict[Perm, set[Tableau]]) -> set[Tableau]:
+    """Insertion tableaux of the reduced words of v, memoised in memo."""
+    # Not nested in its caller: a recursive closure refers to itself through
+    # its cell, so the memo would wait for the cycle collector instead of
+    # being freed when the enumeration returns.
+    if v in memo:
+        return memo[v]
+    down = descents(v)
+    found: set[Tableau] = set() if down else {()}
+    for d in down:
+        for p in _tableaux_of(multiply_simple(v, d), memo):
+            rows = [list(row) for row in p]
+            _row_insert(rows, d)
+            found.add(tuple(tuple(row) for row in rows))
+    memo[v] = found
+    return found
 
 
 def frozen_tableau(w: Perm) -> Tableau:

@@ -191,6 +191,30 @@ def test_parse_errors_exit_nonzero(capsys):
     assert err.startswith("error:")
 
 
+def test_failed_invariant_exits_3(capsys, monkeypatch):
+    def broken(letters):
+        raise AssertionError("row lost a box")
+
+    monkeypatch.setattr("stanley.cli.eg_insert", broken)
+    status, out, err = run(capsys, "eg-insert", "(2,1,2)")
+    assert status == 3
+    assert out == ""
+    assert err == "internal error (a bug, please report): row lost a box\n"
+
+
+def test_guard_error_exits_3(capsys, monkeypatch):
+    def guard(w):
+        raise RuntimeError(f"embedding guard exceeded at {w}")
+
+    monkeypatch.setattr("stanley.cli.ls_tree", guard)
+    status, _, err = run(capsys, "tree", "1432", "--kind", "ls")
+    assert status == 3
+    assert err == (
+        "internal error (a bug, please report): "
+        "embedding guard exceeded at (1, 4, 3, 2)\n"
+    )
+
+
 def test_deterministic_output(capsys):
     first = run(capsys, "tree", "321654", "--kind", "eg", "--format", "json")
     second = run(capsys, "tree", "321654", "--kind", "eg", "--format", "json")

@@ -1,9 +1,18 @@
+import random
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stanley.permutations import inverse, longest_element, reduced_words
+from stanley.permutations import (
+    all_permutations,
+    descents,
+    inverse,
+    longest_element,
+    multiply_simple,
+    reduced_words,
+)
+from stanley.polynomials import eg_coeffs
 from stanley.tableaux import (
     column_reading_word,
     eg_insert,
@@ -39,6 +48,22 @@ def hook_length_count(lam):
         leg = sum(1 for k in range(i + 1, len(lam)) if lam[k] > j)
         product *= arm + leg + 1
     return factorial(len(cells)) // product
+
+
+def count_reduced_words(w, memo):
+    # A reduced word of w ends in a descent d, the rest is a word of w s_d.
+    if w not in memo:
+        down = descents(w)
+        memo[w] = 1 if not down else sum(
+            count_reduced_words(multiply_simple(w, d), memo) for d in down
+        )
+    return memo[w]
+
+
+def tableaux_by_definition(w):
+    # Insert every reduced word of the inverse, one word at a time.
+    seen = {insertion_tableau(b) for b in reduced_words(inverse(w))}
+    return sorted(seen, key=lambda t: (shape(t), row_reading_word(t)))
 
 
 def test_eg_insert_seven_letter_word():
@@ -139,6 +164,58 @@ def test_reduced_word_tableaux_shapes():
         (4, 1, 1),
         (4, 2),
     ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumeration_matches_definition_on_all_of_sn(n):
+    for w in all_permutations(n):
+        assert enumerate_reduced_word_tableaux(w) == tableaux_by_definition(w)
+
+
+def test_enumeration_matches_definition_on_small_s6():
+    memo = {}
+    checked = 0
+    for w in all_permutations(6):
+        if count_reduced_words(w, memo) <= 2000:
+            assert enumerate_reduced_word_tableaux(w) == tableaux_by_definition(w)
+            checked += 1
+    assert checked == 652
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        (2, 3, 1, 6, 5, 4),
+        (3, 2, 1, 6, 5, 4),
+        (5, 4, 3, 2, 1),
+        (1, 3, 5, 7, 2, 4, 6),
+        (5, 4, 3, 2, 1, 7, 6),
+    ],
+)
+def test_enumeration_matches_definition_on_expand_anchors(w):
+    assert enumerate_reduced_word_tableaux(w) == tableaux_by_definition(w)
+
+
+_rng = random.Random(2018)
+S8_SAMPLE = [tuple(_rng.sample(range(1, 9), 8)) for _ in range(20)]
+
+
+@pytest.mark.parametrize("w", S8_SAMPLE)
+def test_s8_tableaux_route_agrees_with_tree_leaves(w):
+    assert eg_coeffs(w) == eg_coeffs(w, "mls_leaves")
+
+
+@pytest.mark.parametrize("w", S8_SAMPLE)
+def test_s8_stanley_count(w):
+    # |Red(w)| = sum over the reduced word tableaux of f^shape.
+    assert sum(
+        hook_length_count(shape(t)) for t in enumerate_reduced_word_tableaux(w)
+    ) == count_reduced_words(w, {})
+
+
+def test_w0_of_s7_has_only_the_frozen_tableau():
+    w0 = longest_element(7)
+    assert enumerate_reduced_word_tableaux(w0) == [frozen_tableau(w0)]
 
 
 def test_is_reduced_word_tableau():
