@@ -8,7 +8,10 @@ node's expansion box turns the current word into a reduced word of exactly
 one child.  Backward, the walk is undone from the pipedream alone: reverse
 droops consume the NW elbows smallest-first, and inverting the Little maps
 in the same order carries the frozen tableau's column word back up to a
-reduced word of the original permutation.
+reduced word of the original permutation.  Each walk is returned as a
+list of Step records, one for the start and one per box consumed, and
+every consumer (``gamma``, ``word_of_pipedream``, the command line trace)
+reads those records.
 
 Two facts are asserted at every step of either word chain: the recording
 tableau of the reversed word never changes, and the insertion tableau of
@@ -16,6 +19,8 @@ the reversed word has the current word as its column reading word.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .permutations import Perm, code_partition, format_permutation, perm_from_code
 from .pipedreams import BumplessPipedream, is_eg, reverse_droop, rothe, validate
@@ -39,13 +44,27 @@ def _check_chain_step(tau: Word, recording: Tableau) -> None:
     assert column_reading_word(p) == tau.letters, "column word not recovered"
 
 
-def gamma(t: Tableau, w: Perm) -> BumplessPipedream:
+class Step(NamedTuple):
     """
-    Map a reduced word tableau for w to an EG-pipedream of w of the same
-    shape.
+    One record of a walk: the box consumed to get here (None at the
+    start), the word, the permutation it evaluates to, and the pipedream.
+    """
 
-    >>> gamma(((1, 4, 5), (2,), (5,)), (2, 3, 1, 6, 5, 4)).rows[3]
-    'r+jrjr'
+    box: tuple[int, int] | None
+    word: Word
+    perm: Perm
+    pipedream: BumplessPipedream
+
+
+def forward_walk(t: Tableau, w: Perm) -> list[Step]:
+    """
+    The walk of a reduced word tableau for w down the EG tree of w.  It
+    starts at the column word of t, at w and its Rothe pipedream; each
+    edge applies the Little map for the node's expansion box and lands on
+    the one child whose permutation the new word evaluates to.
+
+    >>> [s.box for s in forward_walk(((1, 4, 5), (2,), (5,)), (2, 3, 1, 6, 5, 4))]
+    [None, (5, 4), (4, 5), (4, 3), (2, 4)]
     """
     if not is_reduced_word_tableau(t, w):
         raise ValueError(
@@ -56,31 +75,47 @@ def gamma(t: Tableau, w: Perm) -> BumplessPipedream:
     node = tree.root
     tau = Word(column_reading_word(t), len(w))
     _, recording = eg_insert(reverse(tau).letters)
+    steps = [Step(None, tau, w, node.pipedream)]
     while not node.leaf:
         u = node.perm
         p, q, _ = tree.nodes[node.children[0]].move
-        tau = little_map(tau, p, u[q - 1])
+        box = (p, u[q - 1])
+        tau = little_map(tau, *box)
         assert tau.n == len(w), "the bump chain never leaves the ambient size"
         _check_chain_step(tau, recording)
         target = evaluate(tau)
         matches = [c for c in node.children if tree.nodes[c].perm == target]
         assert len(matches) == 1, (u, target)
         node = tree.nodes[matches[0]]
+        steps.append(Step(box, tau, node.perm, node.pipedream))
     assert tau.letters == column_reading_word(frozen_tableau(node.perm))
-    result = node.pipedream
-    assert is_eg(result) == shape(t), "shape drifted across the walk"
-    return result
+    assert is_eg(node.pipedream) == shape(t), "shape drifted across the walk"
+    return steps
 
 
-def word_of_pipedream(p: BumplessPipedream) -> Word:
+def gamma(t: Tableau, w: Perm) -> BumplessPipedream:
     """
-    The reduced word an EG-pipedream stands for: reverse droops consume the
-    NW elbows smallest-first down to the Rothe pipedream, and the inverse
-    Little maps for the consumed boxes carry the frozen column word of the
-    dominant leaf back to a reduced word of the traced permutation.
+    Map a reduced word tableau for w to an EG-pipedream of w of the same
+    shape: the pipedream at the end of the forward walk.
 
-    >>> word_of_pipedream(rothe((2, 1, 3))).letters
-    (1,)
+    >>> gamma(((1, 4, 5), (2,), (5,)), (2, 3, 1, 6, 5, 4)).rows[3]
+    'r+jrjr'
+    """
+    return forward_walk(t, w)[-1].pipedream
+
+
+def backward_walk(p: BumplessPipedream) -> list[Step]:
+    """
+    The walk that undoes the forward walk from an EG-pipedream alone.
+    Reverse droops consume the NW elbows smallest-first down to the Rothe
+    pipedream, and the inverse Little maps for the same boxes, in the same
+    order, carry the frozen column word of the dominant leaf back up.
+    Step 0 is that word at the leaf with p itself; step k holds the k-th
+    box consumed, the word after its inverse Little map, the permutation
+    of that word, and the pipedream after k reverse droops.
+
+    >>> [(s.box, s.perm) for s in backward_walk(rothe((2, 1, 3)))]
+    [(None, (2, 1, 3))]
     """
     w = validate(p)
     lam = is_eg(p)
@@ -89,25 +124,35 @@ def word_of_pipedream(p: BumplessPipedream) -> Word:
             "not an EG-pipedream: empty boxes do not form a top-left partition"
         )
     boxes = []
-    current = p
-    while True:
-        elbows = current.nw_elbows()
-        if not elbows:
-            break
+    dreams = [p]
+    while elbows := dreams[-1].nw_elbows():
         boxes.append(elbows[0])
-        current = reverse_droop(current, elbows[0])
-    assert current == rothe(w), "reverse droops did not land on the Rothe pipedream"
+        dreams.append(reverse_droop(dreams[-1], elbows[0]))
+    assert dreams[-1] == rothe(w), "reverse droops did not land on the Rothe pipedream"
     assert boxes == sorted(boxes), "NW elbows were not consumed in increasing order"
 
     leaf = perm_from_code(lam + (0,) * (p.n - len(lam)))
     assert code_partition(leaf) == lam
     tau = Word(column_reading_word(frozen_tableau(leaf)), p.n)
     _, recording = eg_insert(reverse(tau).letters)
-    for i, j in boxes:
-        tau = little_map_inverse(tau, i, j)
+    steps = [Step(None, tau, leaf, p)]
+    for box, dream in zip(boxes, dreams[1:]):
+        tau = little_map_inverse(tau, *box)
         _check_chain_step(tau, recording)
-    assert evaluate(tau) == w, "inverse chain missed the traced permutation"
-    return tau
+        steps.append(Step(box, tau, evaluate(tau), dream))
+    assert steps[-1].perm == w, "inverse chain missed the traced permutation"
+    return steps
+
+
+def word_of_pipedream(p: BumplessPipedream) -> Word:
+    """
+    The reduced word an EG-pipedream stands for: the word at the end of
+    the backward walk.
+
+    >>> word_of_pipedream(rothe((2, 1, 3))).letters
+    (1,)
+    """
+    return backward_walk(p)[-1].word
 
 
 def gamma_inverse(p: BumplessPipedream) -> Tableau:

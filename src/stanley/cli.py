@@ -16,19 +16,13 @@ import argparse
 import json
 import sys
 
-from .bijection import gamma, gamma_inverse, word_of_pipedream
-from .permutations import (
-    format_permutation,
-    parse_permutation,
-    perm_from_code,
-)
+from .bijection import Step, backward_walk, forward_walk, gamma_inverse
+from .permutations import format_permutation, parse_permutation
 from .pipedreams import (
     enumerate_all,
     is_eg,
     parse as parse_pipedream,
     render,
-    reverse_droop,
-    validate,
     weight,
 )
 from .polynomials import (
@@ -37,17 +31,9 @@ from .polynomials import (
     eg_coeffs,
     schubert_bjs,
 )
-from .tableaux import (
-    column_reading_word,
-    eg_insert,
-    format_tableau,
-    frozen_tableau,
-    parse_tableau,
-)
+from .tableaux import eg_insert, format_tableau, parse_tableau
 from .trees import eg_tree, ls_tree, mls_tree, render_ascii, to_json
 from .words import (
-    Word,
-    evaluate,
     format_word,
     is_reduced,
     little_map,
@@ -127,29 +113,19 @@ def _read_pipedream(text: str):
     return parse_pipedream(text.replace("/", "\n"))
 
 
+def _chain_line(step: Step) -> str:
+    return f"{format_word(step.word.letters)}  {format_permutation(step.perm)}"
+
+
 def cmd_bijection(args) -> int:
     if args.direction == "forward":
         w = parse_permutation(args.permutation)
-        t = parse_tableau(args.tableau)
-        result = gamma(t, w)
+        walk = forward_walk(parse_tableau(args.tableau), w)
         if args.trace:
-            tree = eg_tree(w)
-            node = tree.root
-            tau = Word(column_reading_word(t), len(w))
-            print(f"tau0: {format_word(tau.letters)}  {format_permutation(node.perm)}")
-            while not node.leaf:
-                u = node.perm
-                p, q, _ = tree.nodes[node.children[0]].move
-                v = u[q - 1]
-                tau = little_map(tau, p, v)
-                target = evaluate(tau)
-                node = next(
-                    tree.nodes[c] for c in node.children if tree.nodes[c].perm == target
-                )
-                print(
-                    f"theta[{p},{v}]: {format_word(tau.letters)}  "
-                    f"{format_permutation(node.perm)}"
-                )
+            print(f"tau0: {_chain_line(walk[0])}")
+            for step in walk[1:]:
+                print(f"theta[{step.box[0]},{step.box[1]}]: {_chain_line(step)}")
+        result = walk[-1].pipedream
         if args.render:
             print(render(result, unicode=args.unicode))
         else:
@@ -159,25 +135,16 @@ def cmd_bijection(args) -> int:
     p = _read_pipedream(args.pipedream)
     t = gamma_inverse(p)
     if args.trace:
-        w = validate(p)
-        lam = is_eg(p)
-        boxes = []
-        current = p
-        while current.nw_elbows():
-            box = current.nw_elbows()[0]
-            boxes.append(box)
-            current = reverse_droop(current, box)
-            print(f"reverse droop at ({box[0]},{box[1]}): " + "/".join(current.rows))
-        leaf = perm_from_code(lam + (0,) * (p.n - len(lam)))
-        tau = Word(column_reading_word(frozen_tableau(leaf)), p.n)
-        print(f"tau0: {format_word(tau.letters)}  {format_permutation(leaf)}")
-        for i, j in boxes:
-            tau = little_map_inverse(tau, i, j)
+        walk = backward_walk(p)
+        for step in walk[1:]:
             print(
-                f"theta-inv[{i},{j}]: {format_word(tau.letters)}  "
-                f"{format_permutation(evaluate(tau))}"
+                f"reverse droop at ({step.box[0]},{step.box[1]}): "
+                + "/".join(step.pipedream.rows)
             )
-        print(f"w(P): {format_word(word_of_pipedream(p).letters)}")
+        print(f"tau0: {_chain_line(walk[0])}")
+        for step in walk[1:]:
+            print(f"theta-inv[{step.box[0]},{step.box[1]}]: {_chain_line(step)}")
+        print(f"w(P): {format_word(walk[-1].word.letters)}")
     print(format_tableau(t))
     return 0
 

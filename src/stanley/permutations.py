@@ -16,7 +16,7 @@ same window embedded in a larger symmetric group (``embed_left`` /
 from __future__ import annotations
 
 from itertools import combinations, permutations as _permutations
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -115,12 +115,6 @@ def contains_pattern(w: Perm, pattern: Perm) -> bool:
     return False
 
 
-class PatternFlags(NamedTuple):
-    dominant: bool
-    vexillary: bool
-    grassmannian: bool
-
-
 def is_dominant(w: Perm) -> bool:
     """
     132-avoiding, equivalently: weakly decreasing Lehmer code.
@@ -141,10 +135,6 @@ def is_vexillary(w: Perm) -> bool:
 def is_grassmannian(w: Perm) -> bool:
     """At most one descent."""
     return len(descents(w)) <= 1
-
-
-def classify(w: Perm) -> PatternFlags:
-    return PatternFlags(is_dominant(w), is_vexillary(w), is_grassmannian(w))
 
 
 def grassmannian_shape(w: Perm) -> tuple[int, ...]:

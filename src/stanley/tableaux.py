@@ -243,16 +243,6 @@ def format_tableau(t: Tableau) -> str:
     return "/".join(",".join(str(x) for x in row) for row in t)
 
 
-def render_tableau(t: Tableau) -> str:
-    """One row per line, entries space-separated and column-aligned."""
-    if not t:
-        return "(empty tableau)"
-    width = max(len(str(x)) for row in t for x in row)
-    return "\n".join(
-        " ".join(str(x).rjust(width) for x in row) for row in t
-    )
-
-
 if __name__ == "__main__":
     import doctest
 

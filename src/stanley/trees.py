@@ -64,14 +64,7 @@ def maximal_transition(w: Perm) -> tuple[int, int, frozenset[int], frozenset[Per
     permutations come from the transition of the embedded permutation
     1 x w instead and live in a larger symmetric group.
     """
-    des = descents(w)
-    if not des:
-        raise ValueError("the identity has no transition")
-    r = des[-1]
-    s = max(j for j in range(r + 1, len(w) + 1) if w[j - 1] < w[r - 1])
-    v = apply_transposition(w, r, s)
-    assert length(v) == length(w) - 1, (w, r, s)
-    pivots = _up_pivots(v, r)
+    r, s, v, pivots = _last_descent_step(w)
     if pivots:
         children = frozenset(apply_transposition(v, i, r) for i in pivots)
         return r, s, frozenset(pivots), children
@@ -79,20 +72,36 @@ def maximal_transition(w: Perm) -> tuple[int, int, frozenset[int], frozenset[Per
     return r, s, frozenset(), children
 
 
+def _last_descent_step(w: Perm) -> tuple[int, int, Perm, list[int]]:
+    """
+    At the last descent r of w, with s the last position where w_s < w_r:
+    r, s, v = w t_{rs} (one shorter than w) and the pivots of v at r.
+    """
+    des = descents(w)
+    if not des:
+        raise ValueError("the identity has no transition")
+    r = des[-1]
+    s = max(j for j in range(r + 1, len(w) + 1) if w[j - 1] < w[r - 1])
+    v = apply_transposition(w, r, s)
+    assert length(v) == length(w) - 1, (w, r, s)
+    return r, s, v, _up_pivots(v, r)
+
+
+def _covers(u: Perm, i: int, k: int) -> bool:
+    """
+    Whether u t_{ik}, for i < k, is exactly one longer than u: u_i < u_k
+    and no entry between positions i and k lies between those values.
+    """
+    a, b = u[i - 1], u[k - 1]
+    return a < b and not any(a < x < b for x in u[i:k - 1])
+
+
 def _up_pivots(u: Perm, k: int) -> list[int]:
-    return [
-        i
-        for i in range(1, k)
-        if length(apply_transposition(u, i, k)) == length(u) + 1
-    ]
+    return [i for i in range(1, k) if _covers(u, i, k)]
 
 
 def _up_slots(u: Perm, k: int) -> list[int]:
-    return [
-        j
-        for j in range(k + 1, len(u) + 1)
-        if length(apply_transposition(u, k, j)) == length(u) + 1
-    ]
+    return [j for j in range(k + 1, len(u) + 1) if _covers(u, k, j)]
 
 
 def transition_sets(
@@ -216,11 +225,7 @@ def ls_tree(w: Perm) -> TransitionTree:
             probe = tree.nodes[probe.parent]
         if embed_run > 2 * len(w):
             raise RuntimeError(f"embedding guard exceeded at {u}")
-        des = descents(u)
-        r = des[-1]
-        s = max(j for j in range(r + 1, node.n + 1) if u[j - 1] < u[r - 1])
-        v = apply_transposition(u, r, s)
-        pivots = _up_pivots(v, r)
+        r, s, v, pivots = _last_descent_step(u)
         if not pivots:
             child = TreeNode(len(tree.nodes), node.id, embed_left(u), node.n + 1, None)
             tree.nodes.append(child)

@@ -29,13 +29,6 @@ class Word(NamedTuple):
         return format_word(self.letters)
 
 
-class LineDiagram(NamedTuple):
-    word: Word
-    # trajectories[v-1][t] = position (row) of the line carrying value v
-    # at time t, for t = 0 .. len(letters)
-    trajectories: tuple[tuple[int, ...], ...]
-
-
 def word(letters, n: int | None = None) -> Word:
     """Build a Word, defaulting the ambient size to the smallest possible."""
     letters = tuple(letters)
@@ -72,19 +65,6 @@ def arrangements(a: Word) -> list[Perm]:
         window[t - 1], window[t] = window[t], window[t - 1]
         out.append(tuple(window))
     return out
-
-
-def line_diagram(a: Word) -> LineDiagram:
-    """
-    Trace each of the n lines through the word.  Line v starts in row v and
-    rows a_t, a_t + 1 swap at time t.
-    """
-    cols = arrangements(a)
-    traj = [[0] * len(cols) for _ in range(a.n)]
-    for t, window in enumerate(cols):
-        for row, v in enumerate(window, start=1):
-            traj[v - 1][t] = row
-    return LineDiagram(a, tuple(tuple(rows) for rows in traj))
 
 
 def crossing_pairs(a: Word) -> list[tuple[int, int]]:

@@ -2,14 +2,23 @@ import random
 
 import pytest
 
-from stanley.bijection import gamma, gamma_inverse, word_of_pipedream
-from stanley.permutations import all_permutations, identity
-from stanley.pipedreams import enumerate_all, is_eg, parse, rothe
+from stanley.bijection import (
+    backward_walk,
+    forward_walk,
+    gamma,
+    gamma_inverse,
+    word_of_pipedream,
+)
+from stanley.permutations import all_permutations, identity, is_dominant
+from stanley.pipedreams import enumerate_all, is_eg, parse, rothe, validate
 from stanley.tableaux import (
+    column_reading_word,
     enumerate_reduced_word_tableaux,
     frozen_tableau,
     shape,
 )
+from stanley.trees import eg_tree, leaf_path
+from stanley.words import evaluate
 
 W231654 = (2, 3, 1, 6, 5, 4)
 W321654 = (3, 2, 1, 6, 5, 4)
@@ -52,12 +61,37 @@ def test_gamma_inverse_rejects_non_eg():
         gamma_inverse(stray)
 
 
+def _check_walks(t, w, tree):
+    walk = forward_walk(t, w)
+    start, end = walk[0], walk[-1]
+    assert start.box is None
+    assert start.word.letters == column_reading_word(t)
+    assert (start.perm, start.pipedream) == (w, rothe(w))
+    assert is_dominant(end.perm)
+    assert end.word.letters == column_reading_word(frozen_tableau(end.perm))
+    # One record per node on the path from the root to the leaf reached.
+    (leaf,) = [node for node in tree.leaves() if node.pipedream == end.pipedream]
+    path = leaf_path(tree, leaf)
+    assert [(s.perm, s.pipedream) for s in walk] == [
+        (node.perm, node.pipedream) for node in path
+    ]
+
+    # The backward walk retraces the forward one: the same boxes, words and
+    # permutations in reverse order.
+    back = backward_walk(end.pipedream)
+    assert [s.box for s in back[1:]] == [s.box for s in walk[:0:-1]]
+    assert [(s.word, s.perm) for s in back] == [(s.word, s.perm) for s in walk[::-1]]
+    return end.pipedream
+
+
 def _roundtrip(w):
     tabs = enumerate_reduced_word_tableaux(w)
     egs = {p for p in enumerate_all(w) if is_eg(p) is not None}
+    tree = eg_tree(w)
     image = {}
     for t in tabs:
         p = gamma(t, w)
+        assert p == _check_walks(t, w, tree), (w, t)
         assert is_eg(p) == shape(t), (w, t)
         assert p not in image, (w, t)
         image[p] = t
@@ -65,6 +99,7 @@ def _roundtrip(w):
     assert set(image) == egs, w
     for p in egs:
         assert gamma(gamma_inverse(p), w) == p, w
+        assert evaluate(backward_walk(p)[-1].word) == validate(p), w
 
 
 def test_roundtrip_s4():

@@ -153,9 +153,35 @@ def test_bijection_backward_trace(capsys):
         "--trace",
     )
     assert status == 0
-    assert out.endswith("w(P): (5,4,1,2,5)\n1,4,5/2/5\n")
-    assert "reverse droop at (2,4): " in out
-    assert "theta-inv[2,4]: (4,3,1,2,3)  253146\n" in out
+    assert out == (
+        "reverse droop at (2,4): .r----/.|..r-/.|r-+-/r+jrjr/||rjr+/|||r++\n"
+        "reverse droop at (4,3): .r----/.|..r-/r+--+-/||.rjr/||rjr+/|||r++\n"
+        "reverse droop at (4,5): .r----/.|.r--/r+-+--/||.|.r/||rjr+/|||r++\n"
+        "reverse droop at (5,4): .r----/.|r---/r++---/|||..r/|||.r+/|||r++\n"
+        "tau0: (3,2,1,2,3)  423156\n"
+        "theta-inv[2,4]: (4,3,1,2,3)  253146\n"
+        "theta-inv[4,3]: (4,3,1,2,4)  251436\n"
+        "theta-inv[4,5]: (5,3,1,2,4)  241635\n"
+        "theta-inv[5,4]: (5,4,1,2,5)  231654\n"
+        "w(P): (5,4,1,2,5)\n"
+        "1,4,5/2/5\n"
+    )
+
+
+def test_bijection_forward_trace_through_branching_nodes(capsys):
+    # 321654 has several children at its root and below, so each step
+    # has to pick the one child its word evaluates to.
+    status, out, _ = run(
+        capsys, "bijection", "forward", "321654", "1,2,4/2,5/4", "--trace"
+    )
+    assert status == 0
+    assert out == (
+        "tau0: (4,2,5,1,2,4)  321654\n"
+        "theta[5,4]: (3,2,5,1,2,4)  421635\n"
+        "theta[4,5]: (3,2,4,1,2,3)  425136\n"
+        "theta[3,3]: (3,2,3,1,2,3)  432156\n"
+        "...r--/..r+--/.rj|r-/r+-+jr/||rjr+/|||r++\n"
+    )
 
 
 def test_bijection_backward_stdin(capsys, monkeypatch):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from stanley.permutations import (
     all_permutations,
     apply_transposition,
-    classify,
     code_partition,
     complement,
     contains_pattern,
@@ -17,6 +16,9 @@ from stanley.permutations import (
     grassmannian_shape,
     identity,
     inverse,
+    is_dominant,
+    is_grassmannian,
+    is_vexillary,
     lehmer_code,
     length,
     longest_element,
@@ -122,21 +124,20 @@ def test_pattern_containment():
 
 
 def test_classify_known_permutations():
-    assert classify((3, 4, 2, 1)).dominant
-    assert not classify((1, 3, 2)).dominant
-    assert not classify((2, 1, 4, 3)).vexillary
-    assert classify((1, 4, 3, 2)).vexillary
-    assert not classify((1, 4, 3, 2)).dominant
-    assert not classify((3, 6, 2, 5, 1, 4)).vexillary
-    flags = classify((3, 5, 1, 2, 4, 6))
-    assert flags.grassmannian and flags.vexillary and not flags.dominant
+    assert is_dominant((3, 4, 2, 1))
+    assert not is_dominant((1, 3, 2))
+    assert not is_vexillary((2, 1, 4, 3))
+    assert is_vexillary((1, 4, 3, 2))
+    assert not is_dominant((1, 4, 3, 2))
+    assert not is_vexillary((3, 6, 2, 5, 1, 4))
+    w = (3, 5, 1, 2, 4, 6)
+    assert is_grassmannian(w) and is_vexillary(w) and not is_dominant(w)
 
 
 @given(perms)
 def test_dominant_implies_vexillary_and_weakly_decreasing_code(w):
-    flags = classify(w)
-    if flags.dominant:
-        assert flags.vexillary
+    if is_dominant(w):
+        assert is_vexillary(w)
         code = lehmer_code(w)
         assert all(a >= b for a, b in zip(code, code[1:]))
 

@@ -24,7 +24,6 @@ from stanley.tableaux import (
     is_reduced_word_tableau,
     is_standard,
     parse_tableau,
-    render_tableau,
     row_reading_word,
     shape,
     transpose,
@@ -258,8 +257,3 @@ def test_parse_format_round_trip():
     assert parse_tableau("") == ()
     with pytest.raises(ValueError, match="not a tableau"):
         parse_tableau("1/2,3")
-
-
-def test_render_tableau():
-    assert render_tableau(((1, 4, 5), (2,), (5,))) == "1 4 5\n2\n5"
-    assert render_tableau(()) == "(empty tableau)"

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stanley.permutations import (
     all_permutations,
+    apply_transposition,
     code_partition,
     grassmannian_shape,
     identity,
@@ -105,6 +106,24 @@ def test_transition_sets_embedding_fallbacks():
 
     with pytest.raises(ValueError):
         transition_sets((1, 2), 3)
+
+
+def test_transition_sets_match_the_length_definition():
+    # Oracle for the covering test behind the pivot and slot sets: i is a
+    # pivot and j a slot of u at k exactly when the transposition makes u
+    # one longer, by Coxeter length.  Every pair of positions of every
+    # permutation in S1-S6 is covered.
+    def lengthens(u, a, b):
+        return length(apply_transposition(u, a, b)) == length(u) + 1
+
+    for n in range(1, 7):
+        for u in all_permutations(n):
+            for k in range(1, n + 1):
+                pivots, slots, _, _ = transition_sets(u, k)
+                assert pivots == {i for i in range(1, k) if lengthens(u, i, k)}, (u, k)
+                assert slots == {
+                    j for j in range(k + 1, n + 1) if lengthens(u, k, j)
+                }, (u, k)
 
 
 @given(perms, st.integers(min_value=1, max_value=5))

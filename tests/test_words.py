@@ -12,7 +12,6 @@ from stanley.words import (
     evaluate,
     format_word,
     is_reduced,
-    line_diagram,
     little_bump,
     little_map,
     little_map_inverse,
@@ -51,11 +50,6 @@ def test_is_reduced():
     assert is_reduced(Word((1, 2, 1), 3))
     assert not is_reduced(Word((1, 1), 3))
     assert not is_reduced(Word((3, 1, 3, 4, 2), 6))
-
-
-def test_line_diagram_traces_values():
-    diagram = line_diagram(Word((1, 2), 3))
-    assert diagram.trajectories == ((1, 2, 3), (2, 1, 1), (3, 3, 2))
 
 
 def test_crossing_pairs():
