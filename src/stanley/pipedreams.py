@@ -59,29 +59,23 @@ class BumplessPipedream:
             grid[i - 1][j - 1] = t
         return BumplessPipedream(self.n, tuple("".join(row) for row in grid))
 
-    def empty_boxes(self) -> list[Box]:
+    def _boxes(self, kind: str) -> list[Box]:
+        """The boxes holding tile kind, in row-major order."""
         return [
             (i, j)
-            for i in range(1, self.n + 1)
-            for j in range(1, self.n + 1)
-            if self.tile(i, j) == "."
+            for i, row in enumerate(self.rows, start=1)
+            for j, t in enumerate(row, start=1)
+            if t == kind
         ]
+
+    def empty_boxes(self) -> list[Box]:
+        return self._boxes(".")
 
     def nw_elbows(self) -> list[Box]:
-        return [
-            (i, j)
-            for i in range(1, self.n + 1)
-            for j in range(1, self.n + 1)
-            if self.tile(i, j) == "j"
-        ]
+        return self._boxes("j")
 
     def se_elbows(self) -> list[Box]:
-        return [
-            (i, j)
-            for i in range(1, self.n + 1)
-            for j in range(1, self.n + 1)
-            if self.tile(i, j) == "r"
-        ]
+        return self._boxes("r")
 
 
 def rothe(w: Perm) -> BumplessPipedream:

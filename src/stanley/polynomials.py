@@ -15,8 +15,9 @@ x1 - y1
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Callable, Mapping
 
 from .permutations import (
     Perm,
@@ -30,6 +31,7 @@ from .permutations import (
 
 Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
+Steps = tuple[tuple[bool, int], ...]
 
 
 def _trim(exps: Exponents) -> Exponents:
@@ -196,26 +198,44 @@ class SparsePoly:
         return f"SparsePoly({self})"
 
 
-def _weight_chains(
-    l: int, ascent_flags: tuple[bool, ...], m: int
-) -> Iterator[Exponents]:
+def _add_sequences(
+    out: dict[TermKey, int], steps: Steps, expo: list[int], i: int, prev: int, c: int
+) -> None:
     """
-    All x-exponent vectors from sequences 1 <= b_1 <= ... <= b_l <= m with
-    b_i < b_{i+1} forced where ascent_flags[i] is set.
+    Add c * x^b to out for every b_i, ..., b_l continuing from b_{i-1} = prev,
+    where steps[j] = (rise, cap) asks for b_{j-1} + rise <= b_j <= cap.  Not a
+    closure: a recursive closure is a reference cycle that keeps out alive
+    until the cycle collector runs.
     """
-    expo = [0] * m
+    if i == len(steps):
+        key = (_trim(tuple(expo)), ())
+        out[key] = out.get(key, 0) + c
+        return
+    rise, cap = steps[i]
+    for b in range(prev + rise, cap + 1):
+        expo[b - 1] += 1
+        _add_sequences(out, steps, expo, i + 1, b, c)
+        expo[b - 1] -= 1
 
-    def rec(i: int, prev: int) -> Iterator[Exponents]:
-        if i == l:
-            yield tuple(expo)
-            return
-        lo = prev + 1 if i > 0 and ascent_flags[i - 1] else prev
-        for b in range(max(lo, 1), m + 1):
-            expo[b - 1] += 1
-            yield from rec(i + 1, b)
-            expo[b - 1] -= 1
 
-    yield from rec(0, 1)
+def _compatible_sum(
+    w: Perm, caps: Callable[[tuple[int, ...]], tuple[int, ...]]
+) -> SparsePoly:
+    """
+    The sum of x_{b_1}...x_{b_l} over reduced words a of w and sequences
+    1 <= b_1 <= ... <= b_l with b_i <= caps(a)[i], rising strictly
+    wherever a rises.  The inner sum depends on a only through its ascents
+    and its caps, so it is enumerated once per such pair.
+    """
+    groups = Counter(
+        tuple(zip((False, *(x < y for x, y in zip(a, a[1:]))), caps(a)))
+        for a in reduced_words(w)
+    )
+    out: dict[TermKey, int] = {}
+    for steps, count in groups.items():
+        expo = [0] * max((cap for _, cap in steps), default=0)
+        _add_sequences(out, steps, expo, 0, 1, count)
+    return SparsePoly(out)
 
 
 def stanley_truncated(w: Perm, m: int | None = None) -> SparsePoly:
@@ -232,19 +252,7 @@ def stanley_truncated(w: Perm, m: int | None = None) -> SparsePoly:
         m = max(length(w), 1)
     if m < 1:
         raise ValueError(f"need at least one variable, got m={m}")
-    # The inner sum only depends on the ascent pattern of the word, so
-    # enumerate b-chains once per pattern.
-    l = length(w)
-    patterns: dict[tuple[bool, ...], int] = {}
-    for a in reduced_words(w):
-        flags = tuple(a[i] < a[i + 1] for i in range(len(a) - 1))
-        patterns[flags] = patterns.get(flags, 0) + 1
-    out: dict[TermKey, int] = {}
-    for flags, count in patterns.items():
-        for expo in _weight_chains(l, flags, m):
-            key = (_trim(expo), ())
-            out[key] = out.get(key, 0) + count
-    return SparsePoly(out)
+    return _compatible_sum(w, lambda a: (m,) * len(a))
 
 
 def schubert_bjs(w: Perm) -> SparsePoly:
@@ -255,24 +263,7 @@ def schubert_bjs(w: Perm) -> SparsePoly:
     >>> print(schubert_bjs((1, 3, 2)))
     x1 + x2
     """
-    out: dict[TermKey, int] = {}
-    for a in reduced_words(w):
-        l = len(a)
-        expo = [0] * (len(w) or 1)
-
-        def rec(i: int, prev: int) -> None:
-            if i == l:
-                key = (_trim(tuple(expo)), ())
-                out[key] = out.get(key, 0) + 1
-                return
-            lo = prev + 1 if i > 0 and a[i - 1] < a[i] else prev
-            for b in range(max(lo, 1), a[i] + 1):
-                expo[b - 1] += 1
-                rec(i + 1, b)
-                expo[b - 1] -= 1
-
-        rec(0, 1)
-    return SparsePoly(out)
+    return _compatible_sum(w, lambda a: a)
 
 
 def divided_difference(f: SparsePoly, i: int) -> SparsePoly:
@@ -435,39 +426,24 @@ def eg_coeffs(w: Perm, method: str = "tableaux") -> dict[tuple[int, ...], int]:
     if method == "tableaux":
         from .tableaux import enumerate_reduced_word_tableaux, shape
 
-        counts: dict[tuple[int, ...], int] = {}
-        for t in enumerate_reduced_word_tableaux(w):
-            counts[shape(t)] = counts.get(shape(t), 0) + 1
-        return counts
-    if method == "pipedreams":
+        shapes = map(shape, enumerate_reduced_word_tableaux(w))
+    elif method == "pipedreams":
         from .pipedreams import enumerate_all, is_eg
 
-        counts = {}
-        for p in enumerate_all(w):
-            lam = is_eg(p)
-            if lam is not None:
-                counts[lam] = counts.get(lam, 0) + 1
-        return counts
-    if method == "mls_leaves":
+        shapes = (lam for lam in map(is_eg, enumerate_all(w)) if lam is not None)
+    elif method == "mls_leaves":
         from .trees import mls_tree
 
-        counts = {}
-        for node in mls_tree(w).nodes:
-            if node.leaf:
-                lam = code_partition(node.perm)
-                counts[lam] = counts.get(lam, 0) + 1
-        return counts
-    if method == "monomial":
+        shapes = (code_partition(v.perm) for v in mls_tree(w).nodes if v.leaf)
+    elif method == "monomial":
         m = max(length(w), 1)
-        return {
-            lam: c
-            for lam, c in schur_expand(stanley_truncated(w, m), m).items()
-            if c
-        }
-    raise ValueError(
-        f"unknown method {method!r}: expected tableaux, pipedreams, "
-        "mls_leaves, or monomial"
-    )
+        return schur_expand(stanley_truncated(w, m), m)
+    else:
+        raise ValueError(
+            f"unknown method {method!r}: expected tableaux, pipedreams, "
+            "mls_leaves, or monomial"
+        )
+    return dict(Counter(shapes))
 
 
 if __name__ == "__main__":

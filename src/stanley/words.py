@@ -57,22 +57,14 @@ def is_reduced(a: Word) -> bool:
     return length(evaluate(a)) == len(a.letters)
 
 
-def arrangements(a: Word) -> list[Perm]:
-    """The l+1 successive windows of the line diagram (time 0 is identity)."""
-    window = list(range(1, a.n + 1))
-    out = [tuple(window)]
-    for t in a.letters:
-        window[t - 1], window[t] = window[t], window[t - 1]
-        out.append(tuple(window))
-    return out
-
-
 def crossing_pairs(a: Word) -> list[tuple[int, int]]:
     """The pair of values interchanged at each time, as (smaller, larger)."""
+    window = list(range(1, a.n + 1))
     pairs = []
-    for window, t in zip(arrangements(a), a.letters):
+    for t in a.letters:
         u, v = window[t - 1], window[t]
         pairs.append((min(u, v), max(u, v)))
+        window[t - 1], window[t] = v, u
     return pairs
 
 

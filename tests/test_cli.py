@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from stanley.cli import main
 from stanley.pipedreams import is_eg, parse
@@ -248,10 +250,16 @@ def test_deterministic_output(capsys):
 
 
 def test_module_entry_point():
+    # The subprocess imports the package from this checkout's src, however
+    # the test run itself found it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "stanley", "expand", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "(): 1\n"

@@ -1,11 +1,22 @@
+import random
+from collections import Counter
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stanley.permutations import (
     all_permutations,
+    code_partition,
+    complement,
     embed_left,
+    grassmannian_shape,
+    inverse,
+    is_grassmannian,
+    is_vexillary,
     length,
     longest_element,
+    reduced_words,
 )
 from stanley.polynomials import (
     SparsePoly,
@@ -238,3 +249,68 @@ def test_stable_limit_of_schubert(w):
 
     assert restriction(l) == f
     assert restriction(l + 1) == f
+
+
+def compatible_sum_by_definition(w, caps):
+    # The Billey-Jockusch-Stanley definition: x_{b_1}...x_{b_l} summed over
+    # reduced words a of w and every weakly increasing b with b_i <= caps(a)[i]
+    # and b_i < b_{i+1} wherever a_i < a_{i+1}.
+    terms = Counter()
+    for a in reduced_words(w):
+        cap = caps(a)
+        letters = range(1, max(cap, default=0) + 1)
+        for b in combinations_with_replacement(letters, len(a)):
+            if all(bi <= ci for bi, ci in zip(b, cap)) and all(
+                b[i] < b[i + 1] for i in range(len(a) - 1) if a[i] < a[i + 1]
+            ):
+                expo = tuple(b.count(k) for k in range(1, max(b, default=0) + 1))
+                terms[(expo, ())] += 1
+    return SparsePoly(terms)
+
+
+ORACLE_PERMS = [w for n in range(1, 6) for w in all_permutations(n)] + [
+    w for w in all_permutations(6) if length(w) <= 5
+]
+
+
+def test_schubert_bjs_matches_the_compatible_sequence_definition():
+    for w in ORACLE_PERMS:
+        assert schubert_bjs(w) == compatible_sum_by_definition(w, lambda a: a), w
+
+
+def test_stanley_truncated_matches_the_compatible_sequence_definition():
+    for w in ORACLE_PERMS:
+        for m in (1, 2, 3):
+            expected = compatible_sum_by_definition(w, lambda a: (m,) * len(a))
+            assert stanley_truncated(w, m) == expected, (w, m)
+        if length(w) <= 6:
+            m = max(length(w), 1)
+            expected = compatible_sum_by_definition(w, lambda a: (m,) * len(a))
+            assert stanley_truncated(w) == expected, w
+
+
+def conjugate(lam):
+    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0))
+
+
+_rng = random.Random(1984)
+IDENTITY_PERMS = (
+    [w for n in range(1, 7) for w in all_permutations(n)]
+    + [tuple(_rng.sample(range(1, 8), 7)) for _ in range(20)]
+    + [tuple(_rng.sample(range(1, 9), 8)) for _ in range(20)]
+)
+
+
+def test_stanley_function_identities_without_reduced_words():
+    # F_{w^-1} is F_w with every shape conjugated, and conjugating w by the
+    # longest element gives F_{w0 w w0} = F_{w^-1} (not F_w: 2314 expands
+    # as s_11 but 1423 as s_2).  Grassmannian w gives the one Schur function
+    # of its shape, and w is vexillary iff F_w is the one at its code.
+    for w in IDENTITY_PERMS:
+        coeffs = eg_coeffs(w)
+        inverse_coeffs = eg_coeffs(inverse(w))
+        assert inverse_coeffs == {conjugate(lam): c for lam, c in coeffs.items()}, w
+        assert eg_coeffs(complement(w)) == inverse_coeffs, w
+        if is_grassmannian(w):
+            assert coeffs == {grassmannian_shape(w): 1}, w
+        assert is_vexillary(w) == (coeffs == {code_partition(w): 1}), w
