@@ -10,8 +10,8 @@ droops consume the NW elbows smallest-first, and inverting the Little maps
 in the same order carries the frozen tableau's column word back up to a
 reduced word of the original permutation.  Each walk is returned as a
 list of Step records, one for the start and one per box consumed, and
-every consumer (``gamma``, ``word_of_pipedream``, the command line trace)
-reads those records.
+every consumer (``gamma``, ``word_of_pipedream``, ``tableau_of_walk``,
+the command line trace) reads those records.
 
 Two facts are asserted at every step of either word chain: the recording
 tableau of the reversed word never changes, and the insertion tableau of
@@ -155,19 +155,28 @@ def word_of_pipedream(p: BumplessPipedream) -> Word:
     return backward_walk(p)[-1].word
 
 
+def tableau_of_walk(walk: list[Step]) -> Tableau:
+    """
+    The reduced word tableau a backward walk stands for: the insertion
+    tableau of its last word, read in reverse.  It has the shape of the
+    walk's EG-pipedream.
+    """
+    tau = walk[-1].word
+    out = insertion_tableau(reverse(tau).letters)
+    assert shape(out) == is_eg(walk[0].pipedream), "shape drifted across the walk"
+    assert is_reduced_word_tableau(out, evaluate(tau))
+    return out
+
+
 def gamma_inverse(p: BumplessPipedream) -> Tableau:
     """
-    Map an EG-pipedream back to the reduced word tableau of the same shape:
-    the insertion tableau of the pipedream's word, read in reverse.
+    Map an EG-pipedream back to the reduced word tableau of the same shape,
+    read off its backward walk.
 
     >>> gamma_inverse(rothe((3, 1, 2)))
     ((1, 2),)
     """
-    tau = word_of_pipedream(p)
-    out = insertion_tableau(reverse(tau).letters)
-    assert shape(out) == is_eg(p), "shape drifted across the walk"
-    assert is_reduced_word_tableau(out, evaluate(tau))
-    return out
+    return tableau_of_walk(backward_walk(p))
 
 
 if __name__ == "__main__":

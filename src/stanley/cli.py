@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .bijection import Step, backward_walk, forward_walk, gamma_inverse
+from .bijection import Step, backward_walk, forward_walk, tableau_of_walk
 from .permutations import format_permutation, parse_permutation
 from .pipedreams import (
     enumerate_all,
@@ -132,10 +132,9 @@ def cmd_bijection(args) -> int:
             print("/".join(result.rows))
         return 0
 
-    p = _read_pipedream(args.pipedream)
-    t = gamma_inverse(p)
+    walk = backward_walk(_read_pipedream(args.pipedream))
+    t = tableau_of_walk(walk)
     if args.trace:
-        walk = backward_walk(p)
         for step in walk[1:]:
             print(
                 f"reverse droop at ({step.box[0]},{step.box[1]}): "

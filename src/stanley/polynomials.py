@@ -2,7 +2,8 @@
 Exact sparse polynomials in two alphabets, and the symmetric-function side
 of reduced word combinatorics: Stanley symmetric functions (truncated to
 finitely many variables), Schubert and double Schubert polynomials, Schur
-polynomials, and the expansion machinery connecting them.
+polynomials, and the expansion machinery connecting them.  Double
+Schubert polynomials come from the transition at the last descent.
 
 All coefficients are exact integers.  A term maps a pair of exponent
 vectors (one for x, one for y, trailing zeros dropped) to its coefficient.
@@ -21,11 +22,11 @@ from typing import Callable, Mapping
 
 from .permutations import (
     Perm,
+    apply_transposition,
     code_partition,
-    identity as identity_perm,
+    descents,
+    last_descent_step,
     length,
-    longest_element,
-    multiply_simple,
     reduced_words,
 )
 
@@ -300,27 +301,34 @@ def divided_difference(f: SparsePoly, i: int) -> SparsePoly:
 
 def double_schubert(w: Perm) -> SparsePoly:
     """
-    The double Schubert polynomial, by divided differences applied to the
-    closed product for the longest element, descending along the first
-    ascent at each step.
+    The double Schubert polynomial by the Lascoux-Schützenberger transition
+    at the last descent r of w.  With s, v = w t_{rs} and the pivots I of v
+    at r from last_descent_step,
+
+        S_w = (x_r - y_{w_s}) S_v + sum over i in I of S_{v t_{ir}},
+
+    and the identity gives 1.  Every element the recursion meets lies in
+    the same symmetric group as w and is expanded once.
+
+    >>> print(double_schubert((1, 3, 2)))
+    x1 + x2 - y1 - y2
     """
-    n = len(w)
-    if w == identity_perm(n):
+    return _double_schubert(w, {})
+
+
+def _double_schubert(w: Perm, memo: dict[Perm, SparsePoly]) -> SparsePoly:
+    """double_schubert memoised in memo.  Not a closure, for the reason
+    given at _add_sequences."""
+    if w in memo:
+        return memo[w]
+    if not descents(w):
         return SparsePoly.constant(1)
-    chain = []
-    v = w
-    w0 = longest_element(n)
-    while v != w0:
-        i = next(i for i in range(1, n) if v[i - 1] < v[i])
-        chain.append(i)
-        v = multiply_simple(v, i)
-    f = SparsePoly.constant(1)
-    for i in range(1, n):
-        for j in range(1, n + 1 - i):
-            f = f * (SparsePoly.x(i) - SparsePoly.y(j))
-    for i in reversed(chain):
-        f = divided_difference(f, i)
-    return f
+    r, s, v, pivots = last_descent_step(w)
+    out = (SparsePoly.x(r) - SparsePoly.y(w[s - 1])) * _double_schubert(v, memo)
+    for i in pivots:
+        out = out + _double_schubert(apply_transposition(v, i, r), memo)
+    memo[w] = out
+    return out
 
 
 @lru_cache(maxsize=None)

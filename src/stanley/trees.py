@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from .permutations import (
     Perm,
     apply_transposition,
-    descents,
     embed_left,
-    embed_right,
     format_permutation,
     is_dominant,
     is_grassmannian,
-    length,
+    last_descent_step,
+    up_pivots,
+    up_slots,
 )
 from .pipedreams import BumplessPipedream, droop, is_eg, max_pivot_box, rothe, rothe_diagram
 
@@ -64,70 +64,12 @@ def maximal_transition(w: Perm) -> tuple[int, int, frozenset[int], frozenset[Per
     permutations come from the transition of the embedded permutation
     1 x w instead and live in a larger symmetric group.
     """
-    r, s, v, pivots = _last_descent_step(w)
+    r, s, v, pivots = last_descent_step(w)
     if pivots:
         children = frozenset(apply_transposition(v, i, r) for i in pivots)
         return r, s, frozenset(pivots), children
     _, _, _, children = maximal_transition(embed_left(w))
     return r, s, frozenset(), children
-
-
-def _last_descent_step(w: Perm) -> tuple[int, int, Perm, list[int]]:
-    """
-    At the last descent r of w, with s the last position where w_s < w_r:
-    r, s, v = w t_{rs} (one shorter than w) and the pivots of v at r.
-    """
-    des = descents(w)
-    if not des:
-        raise ValueError("the identity has no transition")
-    r = des[-1]
-    s = max(j for j in range(r + 1, len(w) + 1) if w[j - 1] < w[r - 1])
-    v = apply_transposition(w, r, s)
-    assert length(v) == length(w) - 1, (w, r, s)
-    return r, s, v, _up_pivots(v, r)
-
-
-def _covers(u: Perm, i: int, k: int) -> bool:
-    """
-    Whether u t_{ik}, for i < k, is exactly one longer than u: u_i < u_k
-    and no entry between positions i and k lies between those values.
-    """
-    a, b = u[i - 1], u[k - 1]
-    return a < b and not any(a < x < b for x in u[i:k - 1])
-
-
-def _up_pivots(u: Perm, k: int) -> list[int]:
-    return [i for i in range(1, k) if _covers(u, i, k)]
-
-
-def _up_slots(u: Perm, k: int) -> list[int]:
-    return [j for j in range(k + 1, len(u) + 1) if _covers(u, k, j)]
-
-
-def transition_sets(
-    u: Perm, k: int
-) -> tuple[frozenset[int], frozenset[int], frozenset[Perm], frozenset[Perm]]:
-    """
-    The index sets I and S of positions that lengthen u by a transposition
-    through k, and the corresponding permutation sets.  An empty set falls
-    back to the embedding that recovers it: 1 x u shifted for the earlier
-    positions, u x 1 for the later ones; a single embedding always works.
-    """
-    if not 1 <= k <= len(u):
-        raise ValueError(f"position k={k} out of range for n={len(u)}")
-    pivots = _up_pivots(u, k)
-    slots = _up_slots(u, k)
-    if pivots:
-        phi = frozenset(apply_transposition(u, i, k) for i in pivots)
-    else:
-        _, _, phi, _ = transition_sets(embed_left(u), k + 1)
-        assert phi, "embedding did not produce pivots"
-    if slots:
-        psi = frozenset(apply_transposition(u, k, j) for j in slots)
-    else:
-        _, _, _, psi = transition_sets(embed_right(u), k)
-        assert psi, "embedding did not produce slots"
-    return frozenset(pivots), frozenset(slots), phi, psi
 
 
 def _expand_box_tree(w: Perm, decorate: bool) -> TransitionTree:
@@ -149,9 +91,9 @@ def _expand_box_tree(w: Perm, decorate: bool) -> TransitionTree:
             # Each expansion moves strictly up the box order.
             assert (p, u[q - 1]) < (pp, parent.perm[pq - 1]), (u, p, q)
         v = apply_transposition(u, p, q)
-        pivots = _up_pivots(v, p)
+        pivots = up_pivots(v, p)
         assert pivots, (u, p, q)
-        slots = _up_slots(v, p)
+        slots = up_slots(v, p)
         assert {apply_transposition(v, p, j) for j in slots} == {u}, (u, p, q)
         children = []
         for i in pivots:
@@ -225,7 +167,7 @@ def ls_tree(w: Perm) -> TransitionTree:
             probe = tree.nodes[probe.parent]
         if embed_run > 2 * len(w):
             raise RuntimeError(f"embedding guard exceeded at {u}")
-        r, s, v, pivots = _last_descent_step(u)
+        r, s, v, pivots = last_descent_step(u)
         if not pivots:
             child = TreeNode(len(tree.nodes), node.id, embed_left(u), node.n + 1, None)
             tree.nodes.append(child)

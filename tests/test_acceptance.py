@@ -16,6 +16,7 @@ import math
 import random
 import time
 
+from oracles import schubert_by_staircase, staircase
 from stanley.bijection import gamma, gamma_inverse, word_of_pipedream
 from stanley.permutations import (
     all_permutations,
@@ -23,8 +24,8 @@ from stanley.permutations import (
     code_partition,
     is_dominant,
     length,
-    longest_element,
-    multiply_simple,
+    up_pivots,
+    up_slots,
 )
 from stanley.pipedreams import (
     enumerate_all,
@@ -38,7 +39,6 @@ from stanley.pipedreams import (
 )
 from stanley.polynomials import (
     SparsePoly,
-    divided_difference,
     double_schubert,
     eg_coeffs,
     schubert_bjs,
@@ -51,7 +51,7 @@ from stanley.tableaux import (
     enumerate_reduced_word_tableaux,
     shape,
 )
-from stanley.trees import eg_tree, ls_tree, mls_tree, transition_sets
+from stanley.trees import eg_tree, ls_tree, mls_tree
 from stanley.words import evaluate, little_map, little_map_inverse, reverse, word
 
 W231654 = (2, 3, 1, 6, 5, 4)
@@ -185,21 +185,6 @@ def test_criterion_4_expansion_consistency():
     assert elapsed < 120.0
 
 
-def schubert_by_staircase(w):
-    # Divided differences walked down from the staircase monomial.
-    n = len(w)
-    chain = []
-    v = w
-    while v != longest_element(n):
-        i = next(i for i in range(1, n) if v[i - 1] < v[i])
-        chain.append(i)
-        v = multiply_simple(v, i)
-    f = SparsePoly.monomial(tuple(range(n - 1, 0, -1)))
-    for i in reversed(chain):
-        f = divided_difference(f, i)
-    return f
-
-
 def test_criterion_5_schubert_routes():
     # Single and double forms from three independent routes, for all of
     # S4 and 20 random elements of S5; under 120 s total.
@@ -213,7 +198,7 @@ def test_criterion_5_schubert_routes():
         total = SparsePoly.zero()
         for p in enumerate_all(w):
             total = total + weight(p)
-        ok = ok and single == schubert_by_staircase(w)
+        ok = ok and single == schubert_by_staircase(w, staircase(len(w)))
         ok = ok and total == double
         ok = ok and total.substitute_y_zero() == single
         if not ok:
@@ -361,7 +346,8 @@ def test_criterion_8_theorem_properties():
             u = node.perm
             p, q = max_pivot_box(u)
             v = apply_transposition(u, p, q)
-            _, _, phi, psi = transition_sets(v, p)
+            phi = {apply_transposition(v, i, p) for i in up_pivots(v, p)}
+            psi = {apply_transposition(v, p, j) for j in up_slots(v, p)}
             assert psi == {u}, (w, u)
             assert {tree.nodes[c].perm for c in node.children} == phi, (w, u)
 

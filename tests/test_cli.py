@@ -213,6 +213,30 @@ def test_verify(capsys):
     )
 
 
+def test_verify_past_s5(capsys):
+    status, out, _ = run(capsys, "verify", "1357246")
+    assert status == 0
+    assert out == (
+        "tableaux:    (3,2,1):1\n"
+        "pipedreams:  (3,2,1):1\n"
+        "mls_leaves:  (3,2,1):1\n"
+        "monomial:    (3,2,1):1\n"
+        "weight sum:  OK\n"
+        "status: OK\n"
+    )
+
+    status, out, _ = run(capsys, "verify", "2143657")
+    assert status == 0
+    assert out == (
+        "tableaux:    (3):1 (2,1):2 (1,1,1):1\n"
+        "pipedreams:  (3):1 (2,1):2 (1,1,1):1\n"
+        "mls_leaves:  (3):1 (2,1):2 (1,1,1):1\n"
+        "monomial:    (3):1 (2,1):2 (1,1,1):1\n"
+        "weight sum:  OK\n"
+        "status: OK\n"
+    )
+
+
 def test_parse_errors_exit_nonzero(capsys):
     status, _, err = run(capsys, "expand", "not a perm")
     assert status == 2

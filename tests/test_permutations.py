@@ -134,6 +134,13 @@ def test_classify_known_permutations():
     assert is_grassmannian(w) and is_vexillary(w) and not is_dominant(w)
 
 
+def test_dominant_is_132_avoiding():
+    # Oracle for the Lehmer-code test: every element of S1-S8.
+    for n in range(1, 9):
+        for w in all_permutations(n):
+            assert is_dominant(w) == (not contains_pattern(w, (1, 3, 2))), w
+
+
 @given(perms)
 def test_dominant_implies_vexillary_and_weakly_decreasing_code(w):
     if is_dominant(w):

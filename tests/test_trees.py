@@ -13,6 +13,8 @@ from stanley.permutations import (
     is_dominant,
     is_grassmannian,
     length,
+    up_pivots,
+    up_slots,
 )
 from stanley.pipedreams import enumerate_all, is_eg, rothe
 from stanley.polynomials import eg_coeffs, stanley_truncated
@@ -24,7 +26,6 @@ from stanley.trees import (
     mls_tree,
     render_ascii,
     to_json,
-    transition_sets,
 )
 
 perms = st.integers(min_value=2, max_value=5).flatmap(
@@ -83,29 +84,23 @@ def test_maximal_transition_drops_length():
             assert length(v) == length(w)
 
 
+# The transition sets of u at k: the pivots I, positions i < k, and the
+# slots S, positions j > k, whose transposition with k lengthens u by one.
+
+
 def test_transition_sets_goldens():
-    pivots, _, phi, _ = transition_sets((6, 4, 5, 8, 7, 9, 3, 2, 1), 4)
-    assert pivots == frozenset({1, 3})
-    assert phi == frozenset(
-        {(8, 4, 5, 6, 7, 9, 3, 2, 1), (6, 4, 8, 5, 7, 9, 3, 2, 1)}
-    )
+    u = (6, 4, 5, 8, 7, 9, 3, 2, 1)
+    assert up_pivots(u, 4) == [1, 3]
+    assert {apply_transposition(u, i, 4) for i in up_pivots(u, 4)} == {
+        (8, 4, 5, 6, 7, 9, 3, 2, 1),
+        (6, 4, 8, 5, 7, 9, 3, 2, 1),
+    }
 
-    _, slots, _, psi = transition_sets((2, 4, 1, 5, 3, 6), 5)
-    assert slots == frozenset({6})
-    assert psi == frozenset({(2, 4, 1, 5, 6, 3)})
-
-
-def test_transition_sets_embedding_fallbacks():
-    # The identity has no pivot below any position and no slot above the
-    # last; both sets come back empty with the embedded children filled in.
-    pivots, slots, phi, psi = transition_sets((1, 2), 1)
-    assert pivots == frozenset()
-    assert phi == frozenset({(2, 1, 3)})
-    assert slots == frozenset({2})
-    assert psi == frozenset({(2, 1)})
-
-    with pytest.raises(ValueError):
-        transition_sets((1, 2), 3)
+    u = (2, 4, 1, 5, 3, 6)
+    assert up_slots(u, 5) == [6]
+    assert {apply_transposition(u, 5, j) for j in up_slots(u, 5)} == {
+        (2, 4, 1, 5, 6, 3)
+    }
 
 
 def test_transition_sets_match_the_length_definition():
@@ -119,19 +114,21 @@ def test_transition_sets_match_the_length_definition():
     for n in range(1, 7):
         for u in all_permutations(n):
             for k in range(1, n + 1):
-                pivots, slots, _, _ = transition_sets(u, k)
-                assert pivots == {i for i in range(1, k) if lengthens(u, i, k)}, (u, k)
-                assert slots == {
+                assert up_pivots(u, k) == [
+                    i for i in range(1, k) if lengthens(u, i, k)
+                ], (u, k)
+                assert up_slots(u, k) == [
                     j for j in range(k + 1, n + 1) if lengthens(u, k, j)
-                }, (u, k)
+                ], (u, k)
 
 
 @given(perms, st.integers(min_value=1, max_value=5))
 def test_transition_sets_lengthen(w, k):
     if k > len(w):
         k = 1 + k % len(w)
-    _, _, phi, psi = transition_sets(w, k)
-    for v in phi | psi:
+    phi = [apply_transposition(w, i, k) for i in up_pivots(w, k)]
+    psi = [apply_transposition(w, k, j) for j in up_slots(w, k)]
+    for v in phi + psi:
         assert length(v) == length(w) + 1
 
 
