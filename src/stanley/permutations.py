@@ -4,8 +4,8 @@ Permutations of {1, ..., n} in one-line notation.
 A permutation is a plain tuple ``w`` with ``w[i-1] = w_i``; values and
 positions are 1-based to match the usual combinatorial conventions.  The
 ambient size n is ``len(w)`` and is part of a permutation's identity: the
-same window embedded in a larger symmetric group (``embed_left`` /
-``embed_right``) compares unequal to the original.
+same window embedded in a larger symmetric group (``embed_left``)
+compares unequal to the original.
 
 >>> length((2, 3, 1, 6, 5, 4))
 5
@@ -214,11 +214,6 @@ def up_slots(u: Perm, k: int) -> list[int]:
 def embed_left(w: Perm) -> Perm:
     """1 x w: prepend a fixed point, shifting all values up by one."""
     return (1,) + tuple(v + 1 for v in w)
-
-
-def embed_right(w: Perm) -> Perm:
-    """w x 1: append the new largest value as a fixed point."""
-    return w + (len(w) + 1,)
 
 
 def inverse(w: Perm) -> Perm:

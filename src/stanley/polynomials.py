@@ -16,6 +16,7 @@ x1 - y1
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -42,17 +43,20 @@ def _trim(exps: Exponents) -> Exponents:
 
 
 def _merge(a: Exponents, b: Exponents) -> Exponents:
+    """The sum of two exponent vectors; trimmed when both are, as their
+    entries are non-negative."""
     if len(a) < len(b):
         a, b = b, a
-    return tuple(
-        x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)
-    )
+    return (*map(operator.add, a, b), *a[len(b):])
 
 
 class SparsePoly:
     """
     Immutable-by-convention sparse polynomial in x_1, x_2, ... and
-    y_1, y_2, ...  Zero coefficients are never stored.
+    y_1, y_2, ...  Zero coefficients are never stored and every key is
+    trimmed.  Exponents must be non-negative (x, y and monomial check it),
+    so the sum of two trimmed keys is trimmed and arithmetic builds its
+    results with _of, never trimming again.
 
     >>> x1, x2 = SparsePoly.x(1), SparsePoly.x(2)
     >>> print((x1 + x2) * (x1 - x2))
@@ -70,6 +74,14 @@ class SparsePoly:
             if c != 0
         }
 
+    @classmethod
+    def _of(cls, terms: dict[TermKey, int]) -> SparsePoly:
+        """The polynomial of terms whose keys are already trimmed, keeping
+        only the nonzero coefficients."""
+        out = cls.__new__(cls)
+        out.terms = {key: c for key, c in terms.items() if c}
+        return out
+
     @staticmethod
     def zero() -> SparsePoly:
         return SparsePoly()
@@ -80,15 +92,22 @@ class SparsePoly:
 
     @staticmethod
     def x(i: int, power: int = 1) -> SparsePoly:
-        return SparsePoly({((0,) * (i - 1) + (power,), ()): 1})
+        if i < 1:
+            raise ValueError(f"variable index must be positive: x{i}")
+        return SparsePoly.monomial((0,) * (i - 1) + (power,))
 
     @staticmethod
     def y(i: int, power: int = 1) -> SparsePoly:
-        return SparsePoly({((), (0,) * (i - 1) + (power,)): 1})
+        if i < 1:
+            raise ValueError(f"variable index must be positive: y{i}")
+        return SparsePoly.monomial((), (0,) * (i - 1) + (power,))
 
     @staticmethod
     def monomial(xexp: Exponents, yexp: Exponents = (), coeff: int = 1) -> SparsePoly:
-        return SparsePoly({(tuple(xexp), tuple(yexp)): coeff})
+        xexp, yexp = tuple(xexp), tuple(yexp)
+        if min(xexp + yexp, default=0) < 0:
+            raise ValueError(f"negative exponent in x^{xexp} y^{yexp}")
+        return SparsePoly({(xexp, yexp): coeff})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -105,23 +124,23 @@ class SparsePoly:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) + c
-        return SparsePoly(out)
+        return SparsePoly._of(out)
 
     def __neg__(self) -> SparsePoly:
-        return SparsePoly({key: -c for key, c in self.terms.items()})
+        return SparsePoly._of({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other: SparsePoly) -> SparsePoly:
         return self + (-other)
 
     def __mul__(self, other: SparsePoly | int) -> SparsePoly:
         if isinstance(other, int):
-            return SparsePoly({k: c * other for k, c in self.terms.items()})
+            return SparsePoly._of({k: c * other for k, c in self.terms.items()})
         out: dict[TermKey, int] = {}
         for (xa, ya), ca in self.terms.items():
             for (xb, yb), cb in other.terms.items():
                 key = (_merge(xa, xb), _merge(ya, yb))
                 out[key] = out.get(key, 0) + ca * cb
-        return SparsePoly(out)
+        return SparsePoly._of(out)
 
     __rmul__ = __mul__
 
@@ -138,7 +157,7 @@ class SparsePoly:
         return any(ye for _, ye in self.terms)
 
     def substitute_y_zero(self) -> SparsePoly:
-        return SparsePoly(
+        return SparsePoly._of(
             {(xe, ()): c for (xe, ye), c in self.terms.items() if not ye}
         )
 
@@ -243,8 +262,10 @@ def stanley_truncated(w: Perm, m: int | None = None) -> SparsePoly:
     """
     The Stanley symmetric function of w restricted to x_1..x_m: the sum of
     x_{b_1}...x_{b_l} over reduced words a of w and weakly increasing b
-    rising strictly wherever a does.  m defaults to max(length(w), 1), the
-    smallest window whose Schur expansion is faithful.
+    rising strictly wherever a does.  m defaults to max(length(w), 1): F_w
+    is homogeneous of degree length(w), so none of its Schur shapes has more
+    rows than that and the truncation keeps every one.  That window is not
+    the smallest one; eg_coeffs peels in max(len(code_partition(w)), 1).
 
     >>> print(stanley_truncated((2, 1), 3))
     x1 + x2 + x3
@@ -428,6 +449,12 @@ def eg_coeffs(w: Perm, method: str = "tableaux") -> dict[tuple[int, ...], int]:
     its cost grows with the elements below the inverse of w and their
     tableaux, not with the number of reduced words.
 
+    The "monomial" route truncates and peels in m = max(len(lam), 1)
+    variables, lam = code_partition(w): every Schur shape of F_w dominates
+    lam (Stanley 1984; Edelman-Greene 1987), so it has at most len(lam)
+    rows, and s_lam itself occurs.  A narrower window would drop shapes;
+    the other three routes would then disagree with it.
+
     >>> eg_coeffs((2, 1, 3)) == {(1,): 1}
     True
     """
@@ -444,7 +471,7 @@ def eg_coeffs(w: Perm, method: str = "tableaux") -> dict[tuple[int, ...], int]:
 
         shapes = (code_partition(v.perm) for v in mls_tree(w).nodes if v.leaf)
     elif method == "monomial":
-        m = max(length(w), 1)
+        m = max(len(code_partition(w)), 1)
         return schur_expand(stanley_truncated(w, m), m)
     else:
         raise ValueError(

@@ -237,6 +237,32 @@ def test_verify_past_s5(capsys):
     )
 
 
+def test_verify_long_s6_and_s7(capsys):
+    # The monomial route of these took 14 s and 57 s while it peeled in
+    # length(w) variables instead of len(code_partition(w)).
+    status, out, _ = run(capsys, "verify", "436521")
+    assert status == 0
+    assert out == (
+        "tableaux:    (4,2,2,2,1):1 (3,3,2,2,1):1\n"
+        "pipedreams:  (4,2,2,2,1):1 (3,3,2,2,1):1\n"
+        "mls_leaves:  (4,2,2,2,1):1 (3,3,2,2,1):1\n"
+        "monomial:    (4,2,2,2,1):1 (3,3,2,2,1):1\n"
+        "weight sum:  OK\n"
+        "status: OK\n"
+    )
+
+    status, out, _ = run(capsys, "verify", "5432176")
+    assert status == 0
+    assert out == (
+        "tableaux:    (5,3,2,1):1 (4,4,2,1):1 (4,3,3,1):1 (4,3,2,2):1 (4,3,2,1,1):1\n"
+        "pipedreams:  (5,3,2,1):1 (4,4,2,1):1 (4,3,3,1):1 (4,3,2,2):1 (4,3,2,1,1):1\n"
+        "mls_leaves:  (5,3,2,1):1 (4,4,2,1):1 (4,3,3,1):1 (4,3,2,2):1 (4,3,2,1,1):1\n"
+        "monomial:    (5,3,2,1):1 (4,4,2,1):1 (4,3,3,1):1 (4,3,2,2):1 (4,3,2,1,1):1\n"
+        "weight sum:  OK\n"
+        "status: OK\n"
+    )
+
+
 def test_parse_errors_exit_nonzero(capsys):
     status, _, err = run(capsys, "expand", "not a perm")
     assert status == 2

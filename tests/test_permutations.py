@@ -11,7 +11,6 @@ from stanley.permutations import (
     contains_pattern,
     descents,
     embed_left,
-    embed_right,
     format_permutation,
     grassmannian_shape,
     identity,
@@ -178,11 +177,10 @@ def test_multiply_simple_changes_length_by_one(w, i):
 
 @given(perms)
 def test_embeddings_preserve_length(w):
-    left, right = embed_left(w), embed_right(w)
-    assert len(left) == len(right) == len(w) + 1
-    assert length(left) == length(right) == length(w)
+    left = embed_left(w)
+    assert len(left) == len(w) + 1
+    assert length(left) == length(w)
     assert left[0] == 1
-    assert right[-1] == len(w) + 1
 
 
 def test_embed_left_shifts_values():

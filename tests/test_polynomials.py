@@ -51,6 +51,37 @@ def test_arithmetic_basics():
     assert SparsePoly.zero().degree() == -1
 
 
+def test_variables_need_a_positive_index():
+    for variable in (SparsePoly.x, SparsePoly.y):
+        for i in (0, -2):
+            with pytest.raises(ValueError, match="must be positive"):
+                variable(i)
+
+
+def test_negative_exponents_are_rejected():
+    with pytest.raises(ValueError, match="negative exponent"):
+        SparsePoly.monomial((1, -1))
+    with pytest.raises(ValueError, match="negative exponent"):
+        SparsePoly.monomial((), (0, -2))
+    with pytest.raises(ValueError, match="negative exponent"):
+        x(1, -1)
+
+
+exponents = st.lists(st.integers(min_value=0, max_value=3), max_size=4).map(tuple)
+two_alphabet_polys = st.dictionaries(
+    st.tuples(exponents, exponents), st.integers(min_value=-3, max_value=3), max_size=6
+).map(SparsePoly)
+
+
+@given(two_alphabet_polys, two_alphabet_polys, st.integers(min_value=-3, max_value=3))
+def test_arithmetic_keeps_keys_trimmed_and_coefficients_nonzero(f, g, k):
+    for r in (f + g, f - g, f * g, -f, f * k, k * f, f.substitute_y_zero()):
+        for (xe, ye), c in r.terms.items():
+            assert c != 0
+            assert xe[-1:] != (0,) and ye[-1:] != (0,)
+        assert r == SparsePoly(dict(r.terms))
+
+
 def test_display():
     assert str(SparsePoly.zero()) == "0"
     assert str(schubert_bjs((3, 2, 1))) == "x1^2*x2"
@@ -226,6 +257,25 @@ def test_eg_coeffs_dominant_and_identity():
     assert eg_coeffs((1, 2, 3), "tableaux") == {(): 1}
     with pytest.raises(ValueError, match="unknown method"):
         eg_coeffs((2, 1), "guess")
+
+
+WINDOW_PERMS = (
+    [w for n in range(1, 6) for w in all_permutations(n)]
+    + [w for w in all_permutations(6) if length(w) <= 10]
+    + [(4, 3, 6, 5, 2, 1), (5, 4, 3, 2, 1, 7, 6)]
+)
+
+
+def test_monomial_route_peels_in_the_code_partition_window():
+    # The monomial route truncates F_w to len(code_partition(w)) variables.
+    # Every shape dominates the code partition, which itself occurs once, so
+    # that window is the smallest one that loses no shape.
+    for w in WINDOW_PERMS:
+        coeffs = eg_coeffs(w)
+        lam = code_partition(w)
+        assert eg_coeffs(w, "monomial") == coeffs, w
+        assert coeffs[lam] == 1, w
+        assert all(len(mu) <= len(lam) for mu in coeffs), w
 
 
 @pytest.mark.parametrize("w", [(2, 1, 4, 3), (4, 3, 2, 1), (2, 4, 1, 3)])
