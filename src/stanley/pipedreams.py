@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .permutations import Perm, inverse, is_dominant, length
+from .permutations import Perm, apply_transposition, inverse, length, up_pivots
 from .polynomials import SparsePoly
 
 Box = tuple[int, int]
@@ -279,64 +279,38 @@ def reverse_droop(p: BumplessPipedream, nw: Box) -> BumplessPipedream:
 
 def pivots(w: Perm, box: Box) -> list[Box]:
     """
-    The pivots of an empty box of the Rothe pipedream: SE elbows strictly
-    northwest of it whose spanned rectangle holds no other elbow.
+    The pivots of an empty box (p, w_q) of the Rothe pipedream: the SE
+    elbows (i, w_i), i < p, with v t_ip one longer than v = w t_pq, that
+    is the transition covers up_pivots(v, p).  Equivalently, the elbows
+    strictly northwest of the box whose spanned rectangle holds no other
+    elbow.
 
     >>> pivots((2, 3, 1, 6, 5, 4), (5, 4))
     [(2, 3), (3, 1)]
     """
     if box not in rothe_diagram(w):
         raise ValueError(f"{box} is not an empty box of the Rothe pipedream")
-    bi, bj = box
-    out = []
-    for i in range(1, bi):
-        if w[i - 1] >= bj:
-            continue
-        if any(
-            k != i and w[i - 1] <= w[k - 1] <= bj for k in range(i, bi + 1)
-        ):
-            continue
-        out.append((i, w[i - 1]))
-    return sorted(out)
-
-
-def pivot_boxes(w: Perm) -> list[Box]:
-    """Empty Rothe boxes that have at least one pivot, in row-major order."""
-    return sorted(box for box in rothe_diagram(w) if pivots(w, box))
+    p, c = box
+    q = inverse(w)[c - 1]
+    return [(i, w[i - 1]) for i in up_pivots(apply_transposition(w, p, q), p)]
 
 
 def max_pivot_box(w: Perm) -> tuple[int, int]:
     """
-    The indices (p, q) locating the largest pivoted empty box (p, w_q) of
-    the Rothe pipedream in row-major order: p is the largest position
-    topping a 132 pattern, and q indexes the largest value after p that is
-    smaller than w_p.
+    The indices (p, q) of the largest empty box (p, w_q) of the Rothe
+    pipedream, in row-major order, that has a pivot: some i < p with
+    v t_ip one longer than v = w t_pq, so up_pivots(v, p) is not empty.
+    Raises ValueError when w is dominant, as then no box has one.
 
     >>> max_pivot_box((2, 3, 1, 6, 5, 4))
     (5, 6)
     """
-    n = len(w)
-    if is_dominant(w):
-        raise ValueError(f"{w} is dominant: no empty box has a pivot")
-    p = max(
-        t
-        for t in range(2, n)
-        if any(
-            w[i - 1] < w[j - 1] < w[t - 1]
-            for i in range(1, t)
-            for j in range(t + 1, n + 1)
-        )
-    )
-    q = max(
-        j
-        for j in range(p + 1, n + 1)
-        if w[j - 1] < w[p - 1]
-        and any(w[i - 1] < w[j - 1] for i in range(1, p))
-    )
-    # q also indexes the largest value below w_p appearing after p.
-    assert w[q - 1] == max(v for v in w[p:] if v < w[p - 1]), (w, p, q)
-    assert (p, w[q - 1]) == pivot_boxes(w)[-1], (w, p, q)
-    return p, q
+    inv = inverse(w)
+    for p, c in sorted(rothe_diagram(w), reverse=True):
+        q = inv[c - 1]
+        if up_pivots(apply_transposition(w, p, q), p):
+            return p, q
+    raise ValueError(f"{w} is dominant: no empty box has a pivot")
 
 
 def weight(p: BumplessPipedream) -> SparsePoly:

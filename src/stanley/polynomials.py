@@ -54,9 +54,11 @@ class SparsePoly:
     """
     Immutable-by-convention sparse polynomial in x_1, x_2, ... and
     y_1, y_2, ...  Zero coefficients are never stored and every key is
-    trimmed.  Exponents must be non-negative (x, y and monomial check it),
-    so the sum of two trimmed keys is trimmed and arithmetic builds its
-    results with _of, never trimming again.
+    trimmed.  The constructor trims the keys it is given, adds the
+    coefficients of keys that trim to the same key, and rejects negative
+    exponents, so the sum of two trimmed keys is trimmed.  Arithmetic and
+    the builders below, which trim their own keys, make their results
+    with _of, never trimming again.
 
     >>> x1, x2 = SparsePoly.x(1), SparsePoly.x(2)
     >>> print((x1 + x2) * (x1 - x2))
@@ -68,11 +70,13 @@ class SparsePoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[TermKey, int] = ()):
-        self.terms: dict[TermKey, int] = {
-            (_trim(xe), _trim(ye)): c
-            for (xe, ye), c in dict(terms).items()
-            if c != 0
-        }
+        out: dict[TermKey, int] = {}
+        for (xe, ye), c in dict(terms).items():
+            if min(xe, default=0) < 0 or min(ye, default=0) < 0:
+                raise ValueError(f"negative exponent in x^{xe} y^{ye}")
+            key = (_trim(xe), _trim(ye))
+            out[key] = out.get(key, 0) + c
+        self.terms: dict[TermKey, int] = {key: c for key, c in out.items() if c}
 
     @classmethod
     def _of(cls, terms: dict[TermKey, int]) -> SparsePoly:
@@ -104,10 +108,7 @@ class SparsePoly:
 
     @staticmethod
     def monomial(xexp: Exponents, yexp: Exponents = (), coeff: int = 1) -> SparsePoly:
-        xexp, yexp = tuple(xexp), tuple(yexp)
-        if min(xexp + yexp, default=0) < 0:
-            raise ValueError(f"negative exponent in x^{xexp} y^{yexp}")
-        return SparsePoly({(xexp, yexp): coeff})
+        return SparsePoly({(tuple(xexp), tuple(yexp)): coeff})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -169,7 +170,7 @@ class SparsePoly:
             exps[i - 1], exps[i] = exps[i], exps[i - 1]
             key = (_trim(tuple(exps)), ye)
             out[key] = out.get(key, 0) + c
-        return SparsePoly(out)
+        return SparsePoly._of(out)
 
     def is_symmetric_x(self, m: int) -> bool:
         return all(self.swap_x(i) == self for i in range(1, m))
@@ -255,7 +256,7 @@ def _compatible_sum(
     for steps, count in groups.items():
         expo = [0] * max((cap for _, cap in steps), default=0)
         _add_sequences(out, steps, expo, 0, 1, count)
-    return SparsePoly(out)
+    return SparsePoly._of(out)
 
 
 def stanley_truncated(w: Perm, m: int | None = None) -> SparsePoly:
@@ -313,7 +314,7 @@ def divided_difference(f: SparsePoly, i: int) -> SparsePoly:
             exps[i - 1], exps[i] = t, a + b - 1 - t
             key = (_trim(tuple(exps)), ye)
             acc[key] = acc.get(key, 0) + sign * c
-    out = SparsePoly(acc)
+    out = SparsePoly._of(acc)
     assert out * (SparsePoly.x(i) - SparsePoly.x(i + 1)) == f - f.swap_x(i), (
         "inexact divided difference; corrupted input polynomial"
     )
@@ -391,7 +392,7 @@ def schur_poly(lam: tuple[int, ...], m: int) -> SparsePoly:
         filling.pop((i, j), None)
 
     rec(0)
-    return SparsePoly(out)
+    return SparsePoly._of(out)
 
 
 def schur_expand(f: SparsePoly, m: int) -> dict[tuple[int, ...], int]:
@@ -400,12 +401,14 @@ def schur_expand(f: SparsePoly, m: int) -> dict[tuple[int, ...], int]:
     polynomials, peeling the lexicographically leading monomial.  The
     reconstruction is asserted before returning.
 
-    Raises ValueError when f is not symmetric in x_1..x_m, mixes in y
-    variables, or peels to a negative coefficient (not Schur-positive, or
-    m too small for the degree).
+    Raises ValueError when f mixes in y variables, uses a variable past
+    x_m, is not symmetric in x_1..x_m, or peels to a negative coefficient
+    (not Schur-positive, or m too small for the degree).
     """
     if f.has_y():
         raise ValueError("cannot Schur-expand a polynomial with y variables")
+    if any(len(xe) > m for xe, _ in f.terms):
+        raise ValueError(f"a term uses a variable past x{m}")
     if not f.is_symmetric_x(m):
         raise ValueError(f"not symmetric in x1..x{m}")
     coeffs: dict[tuple[int, ...], int] = {}

@@ -41,3 +41,49 @@ def schubert_by_staircase(w, top):
     for i in reversed(chain):
         f = divided_difference(f, i)
     return f
+
+
+def pivots_by_rectangle(w, box):
+    """The SE elbows (i, w_i) strictly northwest of the empty Rothe box
+    whose spanned rectangle holds no other elbow, sorted."""
+    bi, bj = box
+    out = []
+    for i in range(1, bi):
+        if w[i - 1] >= bj:
+            continue
+        if any(
+            k != i and w[i - 1] <= w[k - 1] <= bj for k in range(i, bi + 1)
+        ):
+            continue
+        out.append((i, w[i - 1]))
+    return sorted(out)
+
+
+def max_pivot_box_by_pattern(w):
+    """(p, q) with p the largest position topping a 132 pattern and q
+    indexing the largest value after p that is smaller than w_p; None
+    when w avoids 132."""
+    n = len(w)
+    p = max(
+        (
+            t
+            for t in range(2, n)
+            if any(
+                w[i - 1] < w[j - 1] < w[t - 1]
+                for i in range(1, t)
+                for j in range(t + 1, n + 1)
+            )
+        ),
+        default=None,
+    )
+    if p is None:
+        return None
+    q = max(
+        j
+        for j in range(p + 1, n + 1)
+        if w[j - 1] < w[p - 1]
+        and any(w[i - 1] < w[j - 1] for i in range(1, p))
+    )
+    # q also indexes the largest value below w_p appearing after p.
+    assert w[q - 1] == max(v for v in w[p:] if v < w[p - 1]), (w, p, q)
+    return p, q

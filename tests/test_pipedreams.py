@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import max_pivot_box_by_pattern, pivots_by_rectangle
 from stanley.permutations import (
     all_permutations,
     identity,
     inverse,
+    is_dominant,
     length,
 )
 from stanley.pipedreams import (
@@ -14,7 +16,6 @@ from stanley.pipedreams import (
     is_eg,
     max_pivot_box,
     parse,
-    pivot_boxes,
     pivots,
     render,
     reverse_droop,
@@ -215,14 +216,20 @@ def test_max_pivot_box():
 
 
 def test_max_pivot_box_matches_geometry():
-    # The located box is the row-major maximum among pivoted empty boxes,
-    # and its pivots sit strictly northwest of every later choice.
-    for w in all_permutations(4):
-        boxes = pivot_boxes(w)
-        if not boxes:
-            continue
-        p, q = max_pivot_box(w)
-        assert boxes[-1] == (p, w[q - 1])
+    # max_pivot_box and pivots read the transition covers; the oracles
+    # read the 132 patterns and the rectangles spanned with elbows.
+    for n in range(1, 9):
+        for w in all_permutations(n):
+            if is_dominant(w):
+                assert max_pivot_box_by_pattern(w) is None
+                with pytest.raises(ValueError, match="dominant"):
+                    max_pivot_box(w)
+            else:
+                assert max_pivot_box(w) == max_pivot_box_by_pattern(w)
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            for box in rothe_diagram(w):
+                assert pivots(w, box) == pivots_by_rectangle(w, box)
 
 
 def test_weight_sums_to_double_schubert():

@@ -1,4 +1,5 @@
 import random
+import signal
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -65,6 +66,13 @@ def test_negative_exponents_are_rejected():
         SparsePoly.monomial((), (0, -2))
     with pytest.raises(ValueError, match="negative exponent"):
         x(1, -1)
+    with pytest.raises(ValueError, match="negative exponent"):
+        SparsePoly({((1,), (-1,)): 1})
+
+
+def test_constructor_adds_keys_that_trim_alike():
+    assert SparsePoly({((1, 0), ()): 1, ((1,), ()): 2}) == 3 * x(1)
+    assert SparsePoly({((1, 0), ()): 2, ((1,), ()): -2}) == SparsePoly.zero()
 
 
 exponents = st.lists(st.integers(min_value=0, max_value=3), max_size=4).map(tuple)
@@ -227,6 +235,23 @@ def test_schur_expand_rejects_bad_input():
         schur_expand(y(1), 2)
     with pytest.raises(ValueError, match="negative leftover"):
         schur_expand(schur_poly((1, 1), 2) - schur_poly((2,), 2), 2)
+
+
+def test_schur_expand_rejects_variables_past_the_window():
+    # Without the window check x1*x2*x3 peels forever: s_111 vanishes in
+    # two variables, so the leading term never leaves.
+    def timeout(signum, frame):
+        raise TimeoutError("schur_expand did not return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        for f in (x(1) * x(2) * x(3), x(3)):
+            with pytest.raises(ValueError, match="past x2"):
+                schur_expand(f, 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_eg_coeffs_known_expansions():
