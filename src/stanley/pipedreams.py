@@ -19,6 +19,7 @@ r+-
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .permutations import Perm, apply_transposition, inverse, length, up_pivots
 from .polynomials import SparsePoly
@@ -43,6 +44,10 @@ KIND_NAMES = {
 }
 UNICODE_TILES = {"r": "┌", "j": "┘", "-": "─", "|": "│", "+": "┼"}
 FROM_UNICODE = {v: k for k, v in UNICODE_TILES.items()}
+_KINDS = frozenset(EDGES)
+_NORTH, _SOUTH, _EAST, _WEST = (
+    frozenset(t for t, edges in EDGES.items() if side in edges) for side in "NSEW"
+)
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,11 @@ class BumplessPipedream:
         for (i, j), t in changes.items():
             grid[i - 1][j - 1] = t
         return BumplessPipedream(self.n, tuple("".join(row) for row in grid))
+
+    @cached_property
+    def _traced(self) -> Perm:
+        """The permutation validate traces, kept once it is found."""
+        return _trace(self)
 
     def _boxes(self, kind: str) -> list[Box]:
         """The boxes holding tile kind, in row-major order."""
@@ -121,46 +131,57 @@ def validate(p: BumplessPipedream) -> Perm:
     """
     Check tile kinds, edge consistency against neighbors and the boundary,
     and the no-double-crossing condition; return the traced permutation.
+    The first fault in row-major order is raised as a ValueError, an
+    unknown tile anywhere before any edge fault.
+
+    A pipedream is traced once: its rows never change, so the permutation
+    is kept on the object and every later call on it returns that.  A
+    grid that fails is never kept and raises again on every call.
     """
-    n = p.n
-    if len(p.rows) != n or any(len(row) != n for row in p.rows):
+    return p._traced
+
+
+def _trace(p: BumplessPipedream) -> Perm:
+    """The checks and the trace behind validate, over the row strings."""
+    n, rows = p.n, p.rows
+    if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"grid is not {n}x{n}")
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            t = p.tile(i, j)
-            if t not in EDGES:
-                raise ValueError(f"unknown tile {t!r} at ({i},{j})")
-            edges = EDGES[t]
-            if i == 1 and "N" in edges:
+    for i, row in enumerate(rows, start=1):
+        if not _KINDS.issuperset(row):
+            j, t = next((j, t) for j, t in enumerate(row, start=1) if t not in _KINDS)
+            raise ValueError(f"unknown tile {t!r} at ({i},{j})")
+    for i, row in enumerate(rows, start=1):
+        below = rows[i] if i < n else ""
+        for j, t in enumerate(row, start=1):
+            if i == 1 and t in _NORTH:
                 raise ValueError(f"pipe leaves the north boundary at ({i},{j})")
-            if j == 1 and "W" in edges:
+            if j == 1 and t in _WEST:
                 raise ValueError(f"pipe enters from the west boundary at ({i},{j})")
-            if i == n and "S" not in edges:
+            south, east = t in _SOUTH, t in _EAST
+            if i == n and not south:
                 raise ValueError(f"missing south entry at the boundary ({i},{j})")
-            if j == n and "E" not in edges:
+            if j == n and not east:
                 raise ValueError(f"missing east exit at the boundary ({i},{j})")
-            if i < n and ("S" in edges) != ("N" in EDGES[p.tile(i + 1, j)]):
+            if i < n and south != (below[j - 1] in _NORTH):
                 raise ValueError(f"dangling vertical edge between ({i},{j}) and ({i + 1},{j})")
-            if j < n and ("E" in edges) != ("W" in EDGES[p.tile(i, j + 1)]):
+            if j < n and east != (row[j] in _WEST):
                 raise ValueError(f"dangling horizontal edge between ({i},{j}) and ({i},{j + 1})")
-    exit_row_of_pipe = [0] * (n + 1)
-    for c in range(1, n + 1):
-        i, j, heading = n, c, "N"
-        while True:
-            t = p.tile(i, j)
-            if heading == "N":
-                heading = "E" if t == "r" else "N"
-            else:
-                heading = "N" if t == "j" else "E"
-            if heading == "E" and j == n:
-                exit_row_of_pipe[c] = i
-                break
-            i, j = (i - 1, j) if heading == "N" else (i, j + 1)
-    perm = [0] * n
-    for pipe in range(1, n + 1):
-        perm[exit_row_of_pipe[pipe] - 1] = pipe
-    w = tuple(perm)
-    crossings = sum(row.count("+") for row in p.rows)
+    # Bottom row up: column[j] carries the pipe heading north out of the
+    # row below in column j + 1.  An SE elbow turns that pipe east, an NW
+    # elbow turns the eastbound pipe north, and whichever pipe is heading
+    # east at the end of row i exits there.
+    column = list(range(1, n + 1))
+    w = [0] * n
+    for i in range(n - 1, -1, -1):
+        pipe = 0
+        for j, t in enumerate(rows[i]):
+            if t == "r":
+                pipe = column[j]
+            elif t == "j":
+                column[j] = pipe
+        w[i] = pipe
+    w = tuple(w)
+    crossings = sum(row.count("+") for row in rows)
     if crossings != length(w):
         raise ValueError(
             f"{crossings} crossings for a permutation of length {length(w)}: "

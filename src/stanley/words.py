@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .permutations import Perm, length
+from .permutations import Perm
 
 
 class Word(NamedTuple):
@@ -53,8 +53,24 @@ def evaluate(a: Word) -> Perm:
 
 
 def is_reduced(a: Word) -> bool:
-    """A word is reduced when no shorter word evaluates to the same thing."""
-    return length(evaluate(a)) == len(a.letters)
+    """
+    A word is reduced when no shorter word evaluates to the same thing,
+    that is when each letter swaps an ascent of the window it acts on, so
+    that every letter adds one to the length.  Checked in one pass over
+    the letters, each of which must be in range for a.n.
+
+    >>> is_reduced(Word((1, 2, 1), 3)), is_reduced(Word((1, 2, 2), 3))
+    (True, False)
+    """
+    window = list(range(1, a.n + 1))
+    reduced = True
+    for t in a.letters:
+        if not 1 <= t < a.n:
+            raise ValueError(f"letter {t} out of range for ambient size {a.n}")
+        u, v = window[t - 1], window[t]
+        reduced = reduced and u < v
+        window[t - 1], window[t] = v, u
+    return reduced
 
 
 def crossing_pairs(a: Word) -> list[tuple[int, int]]:

@@ -7,9 +7,15 @@ apply the divided differences of that walk, last step first, to the
 polynomial of the longest element.  That top polynomial is x^delta for
 the single form and the product of (x_i - y_j) over i + j <= n for the
 double form.
+
+The tile route validates a bumpless pipedream box by box through
+BumplessPipedream.tile: every kind first, then each box's edges against
+its neighbours and the boundary in row-major order, then a walk of each
+pipe from the south boundary to its east exit.
 """
 
-from stanley.permutations import longest_element, multiply_simple
+from stanley.permutations import length, longest_element, multiply_simple
+from stanley.pipedreams import EDGES
 from stanley.polynomials import SparsePoly, divided_difference
 
 
@@ -87,3 +93,56 @@ def max_pivot_box_by_pattern(w):
     # q also indexes the largest value below w_p appearing after p.
     assert w[q - 1] == max(v for v in w[p:] if v < w[p - 1]), (w, p, q)
     return p, q
+
+
+def validate_by_tiles(p):
+    """The permutation a bumpless pipedream traces, or the ValueError
+    naming its first fault; the checks of pipedreams.validate, one tile
+    lookup at a time."""
+    n = p.n
+    if len(p.rows) != n or any(len(row) != n for row in p.rows):
+        raise ValueError(f"grid is not {n}x{n}")
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            t = p.tile(i, j)
+            if t not in EDGES:
+                raise ValueError(f"unknown tile {t!r} at ({i},{j})")
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            edges = EDGES[p.tile(i, j)]
+            if i == 1 and "N" in edges:
+                raise ValueError(f"pipe leaves the north boundary at ({i},{j})")
+            if j == 1 and "W" in edges:
+                raise ValueError(f"pipe enters from the west boundary at ({i},{j})")
+            if i == n and "S" not in edges:
+                raise ValueError(f"missing south entry at the boundary ({i},{j})")
+            if j == n and "E" not in edges:
+                raise ValueError(f"missing east exit at the boundary ({i},{j})")
+            if i < n and ("S" in edges) != ("N" in EDGES[p.tile(i + 1, j)]):
+                raise ValueError(f"dangling vertical edge between ({i},{j}) and ({i + 1},{j})")
+            if j < n and ("E" in edges) != ("W" in EDGES[p.tile(i, j + 1)]):
+                raise ValueError(f"dangling horizontal edge between ({i},{j}) and ({i},{j + 1})")
+    exit_row_of_pipe = [0] * (n + 1)
+    for c in range(1, n + 1):
+        i, j, heading = n, c, "N"
+        while True:
+            t = p.tile(i, j)
+            if heading == "N":
+                heading = "E" if t == "r" else "N"
+            else:
+                heading = "N" if t == "j" else "E"
+            if heading == "E" and j == n:
+                exit_row_of_pipe[c] = i
+                break
+            i, j = (i - 1, j) if heading == "N" else (i, j + 1)
+    perm = [0] * n
+    for pipe in range(1, n + 1):
+        perm[exit_row_of_pipe[pipe] - 1] = pipe
+    w = tuple(perm)
+    crossings = sum(row.count("+") for row in p.rows)
+    if crossings != length(w):
+        raise ValueError(
+            f"{crossings} crossings for a permutation of length {length(w)}: "
+            "some pair of pipes crosses twice"
+        )
+    return w

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import stanley.pipedreams
+
 from stanley.bijection import (
     backward_walk,
     forward_walk,
@@ -123,3 +125,21 @@ def test_roundtrip_321654():
     egs = {p for p in enumerate_all(W321654) if is_eg(p) is not None}
     assert len(tabs) == len(egs) == 8
     _roundtrip(W321654)
+
+
+def test_round_trip_traces_each_pipedream_once(monkeypatch):
+    traced = []
+    trace = stanley.pipedreams._trace
+
+    def counting(p):
+        traced.append(p)
+        return trace(p)
+
+    monkeypatch.setattr(stanley.pipedreams, "_trace", counting)
+    for w in [(3, 2, 1, 6, 5, 4), (1, 4, 7, 2, 5, 8, 3, 6, 9)]:
+        tree = eg_tree(w)
+        for leaf in tree.leaves():
+            assert gamma(gamma_inverse(leaf.pipedream), w) == leaf.pipedream
+    # traced holds every traced object, so no id is reused while it runs.
+    assert traced
+    assert len({id(p) for p in traced}) == len(traced)

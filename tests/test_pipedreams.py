@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import max_pivot_box_by_pattern, pivots_by_rectangle
+from oracles import max_pivot_box_by_pattern, pivots_by_rectangle, validate_by_tiles
 from stanley.permutations import (
     all_permutations,
     identity,
@@ -102,6 +102,11 @@ def test_validate_errors():
         validate(BumplessPipedream(2, ("rr", "|+")))
     with pytest.raises(ValueError, match="unknown tile"):
         validate(BumplessPipedream(2, ("xr", "r+")))
+    # Unknown tiles south and east of a valid tile are named as such.
+    with pytest.raises(ValueError, match=r"unknown tile 'x' at \(2,1\)"):
+        validate(BumplessPipedream(2, ("r-", "xr")))
+    with pytest.raises(ValueError, match=r"unknown tile 'x' at \(1,2\)"):
+        validate(BumplessPipedream(2, ("rx", "|r")))
     with pytest.raises(ValueError, match="not 2x2"):
         validate(BumplessPipedream(2, ("r-",)))
 
@@ -112,6 +117,52 @@ def test_validate_rejects_double_crossing():
     bad = BumplessPipedream(4, ("..r-", ".r+-", "r+jr", "||r+"))
     with pytest.raises(ValueError, match="crosses twice"):
         validate(bad)
+
+
+def outcome(check, p):
+    try:
+        return check(p)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_validate_matches_tile_oracle():
+    # Every single-tile substitution of every pipedream of S1-S4: the same
+    # permutation or the same first fault as the tile-by-tile oracle.
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            for p in enumerate_all(w):
+                for i, row in enumerate(p.rows):
+                    for j in range(n):
+                        for t in ".rj-|+":
+                            rows = p.rows[:i] + (row[:j] + t + row[j + 1:],) + p.rows[i + 1:]
+                            q = BumplessPipedream(n, rows)
+                            assert outcome(validate, q) == outcome(validate_by_tiles, q)
+    for w in all_permutations(5):
+        for p in enumerate_all(w):
+            assert validate(p) == validate_by_tiles(p) == w
+
+
+def test_validate_fresh_copy_agrees():
+    # enumerate_all has traced each p; a copy of its rows is traced anew.
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            for p in enumerate_all(w):
+                assert validate(p) == validate(BumplessPipedream(p.n, p.rows)) == w
+
+
+def test_validate_failure_is_not_kept():
+    for p in (
+        BumplessPipedream(2, ("|r", "r+")),
+        BumplessPipedream(2, ("r-", "xr")),
+        BumplessPipedream(2, ("r-",)),
+        BumplessPipedream(4, ("..r-", ".r+-", "r+jr", "||r+")),
+    ):
+        with pytest.raises(ValueError) as first:
+            validate(p)
+        with pytest.raises(ValueError) as second:
+            validate(p)
+        assert str(second.value) == str(first.value)
 
 
 def test_droop_fig6():

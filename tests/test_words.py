@@ -1,7 +1,9 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stanley.permutations import reduced_words
+from stanley.permutations import length, reduced_words
 from stanley.words import (
     Word,
     bump_at,
@@ -50,6 +52,31 @@ def test_is_reduced():
     assert is_reduced(Word((1, 2, 1), 3))
     assert not is_reduced(Word((1, 1), 3))
     assert not is_reduced(Word((3, 1, 3, 4, 2), 6))
+
+
+def test_is_reduced_matches_length():
+    for n in range(1, 6):
+        for size in range(7):
+            for letters in product(range(1, n), repeat=size):
+                a = Word(letters, n)
+                assert is_reduced(a) == (length(evaluate(a)) == len(a.letters))
+
+
+@given(
+    st.integers(min_value=2, max_value=8).flatmap(
+        lambda n: st.lists(st.integers(1, n - 1), max_size=20).map(
+            lambda letters: Word(tuple(letters), n)
+        )
+    )
+)
+def test_is_reduced_matches_length_random(a):
+    assert is_reduced(a) == (length(evaluate(a)) == len(a.letters))
+
+
+def test_is_reduced_checks_every_letter():
+    # (1, 1) is not reduced, and the 5 after it is still out of range.
+    with pytest.raises(ValueError, match="out of range"):
+        is_reduced(Word((1, 1, 5), 3))
 
 
 def test_crossing_pairs():
