@@ -177,9 +177,3 @@ def gamma_inverse(p: BumplessPipedream) -> Tableau:
     ((1, 2),)
     """
     return tableau_of_walk(backward_walk(p))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -284,9 +284,3 @@ def format_permutation(w: Perm) -> str:
     if len(w) <= 9:
         return "".join(str(v) for v in w)
     return ",".join(str(v) for v in w)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -190,6 +190,50 @@ def _trace(p: BumplessPipedream) -> Perm:
     return w
 
 
+# The droop of the SE elbow at the northwest corner (a, b) of a rectangle
+# into the empty box at its southeast corner (c, d): the tile each box on
+# the rectangle's rim holds before and after, by the box's role (a corner,
+# or a box strictly inside the west, east, north or south side).  Boxes
+# inside the rectangle keep their tiles.  A reverse droop is the inverse.
+_DROOP = {
+    "NW": {"r": "."},
+    "SE": {".": "j"},
+    "SW": {"|": "r"},
+    "NE": {"-": "r"},
+    "W": {"|": ".", "+": "-"},
+    "E": {".": "|", "-": "+"},
+    "N": {"-": ".", "+": "|"},
+    "S": {".": "-", "|": "+"},
+}
+_LIFT = {role: {v: k for k, v in m.items()} for role, m in _DROOP.items()}
+
+
+def _reroute(
+    p: BumplessPipedream,
+    northwest: Box,
+    southeast: Box,
+    maps: dict[str, dict[str, str]],
+    fault: str,
+) -> BumplessPipedream:
+    """
+    Apply maps (_DROOP or _LIFT) to the rim of the rectangle with the
+    given corners; the first box whose tile has no image raises ValueError.
+    """
+    (a, b), (c, d) = northwest, southeast
+    rim = [((a, b), "NW"), ((c, d), "SE"), ((c, b), "SW"), ((a, d), "NE")]
+    for i in range(a + 1, c):
+        rim += [((i, b), "W"), ((i, d), "E")]
+    for j in range(b + 1, d):
+        rim += [((a, j), "N"), ((c, j), "S")]
+    changes: dict[Box, str] = {}
+    for box, role in rim:
+        tile = p.tile(*box)
+        if tile not in maps[role]:
+            raise ValueError(f"{fault} {KIND_NAMES[tile]} at {box}")
+        changes[box] = maps[role][tile]
+    return p.replace(changes)
+
+
 def droop(p: BumplessPipedream, elbow: Box, target: Box) -> BumplessPipedream:
     """
     Swap the SE elbow at `elbow` with the empty box at `target` (strictly
@@ -221,25 +265,7 @@ def droop(p: BumplessPipedream, elbow: Box, target: Box) -> BumplessPipedream:
                 raise ValueError(
                     f"condition (2): the rectangle contains another elbow at ({i},{j})"
                 )
-    changes: dict[Box, str] = {(a, b): ".", (c, d): "j"}
-    reroute = [
-        ((c, b), {"|": "r"}),
-        ((a, d), {"-": "r"}),
-    ]
-    for i in range(a + 1, c):
-        reroute.append(((i, b), {"|": ".", "+": "-"}))
-        reroute.append(((i, d), {".": "|", "-": "+"}))
-    for j in range(b + 1, d):
-        reroute.append(((a, j), {"-": ".", "+": "|"}))
-        reroute.append(((c, j), {".": "-", "|": "+"}))
-    for box, table in reroute:
-        tile = p.tile(*box)
-        if tile not in table:
-            raise ValueError(
-                f"condition (3): cannot reroute through {KIND_NAMES[tile]} at {box}"
-            )
-        changes[box] = table[tile]
-    out = p.replace(changes)
+    out = _reroute(p, elbow, target, _DROOP, "condition (3): cannot reroute through")
     try:
         traced = validate(out)
     except ValueError as exc:
@@ -252,7 +278,8 @@ def reverse_droop(p: BumplessPipedream, nw: Box) -> BumplessPipedream:
     """
     Undo the droop that produced the NW elbow at `nw`: find the SE elbows
     west and north of it, lift the pipe back onto the rectangle's west
-    column and north row, and free the target box.
+    column and north row, and free the target box: droop's rim map,
+    inverted.
     """
     m, jm = nw
     if p.tile(m, jm) != "j":
@@ -271,27 +298,7 @@ def reverse_droop(p: BumplessPipedream, nw: Box) -> BumplessPipedream:
                 raise ValueError(
                     f"the rectangle contains another elbow at ({i},{j})"
                 )
-    changes: dict[Box, str] = {
-        (x, y): "r",
-        (m, y): "|",
-        (x, jm): "-",
-        (m, jm): ".",
-    }
-    undo = []
-    for i in range(x + 1, m):
-        undo.append(((i, y), {".": "|", "-": "+"}))
-        undo.append(((i, jm), {"|": ".", "+": "-"}))
-    for j in range(y + 1, jm):
-        undo.append(((x, j), {".": "-", "|": "+"}))
-        undo.append(((m, j), {"-": ".", "+": "|"}))
-    for box, table in undo:
-        tile = p.tile(*box)
-        if tile not in table:
-            raise ValueError(
-                f"cannot lift the pipe through {KIND_NAMES[tile]} at {box}"
-            )
-        changes[box] = table[tile]
-    out = p.replace(changes)
+    out = _reroute(p, (x, y), nw, _LIFT, "cannot lift the pipe through")
     traced = validate(out)
     assert traced == validate(p), "reverse droop changed the traced permutation"
     assert droop(out, (x, y), (m, jm)) == p, "reverse droop is not a droop inverse"
@@ -348,11 +355,11 @@ def is_eg(p: BumplessPipedream) -> tuple[int, ...] | None:
     boxes are justified against the northwest corner; None otherwise.
     """
     row_counts = []
-    for i in range(1, p.n + 1):
-        cols = [j for j in range(1, p.n + 1) if p.tile(i, j) == "."]
-        if cols != list(range(1, len(cols) + 1)):
+    for row in p.rows:
+        k = len(row) - len(row.lstrip("."))
+        if "." in row[k:]:
             return None
-        row_counts.append(len(cols))
+        row_counts.append(k)
     while row_counts and row_counts[-1] == 0:
         row_counts.pop()
     if 0 in row_counts or any(
@@ -408,9 +415,3 @@ def parse(text: str) -> BumplessPipedream:
             if t not in EDGES:
                 raise ValueError(f"unknown tile {t!r}")
     return BumplessPipedream(n, rows)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -482,9 +482,3 @@ def eg_coeffs(w: Perm, method: str = "tableaux") -> dict[tuple[int, ...], int]:
             "mls_leaves, or monomial"
         )
     return dict(Counter(shapes))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -241,9 +241,3 @@ def parse_tableau(text: str) -> Tableau:
 
 def format_tableau(t: Tableau) -> str:
     return "/".join(",".join(str(x) for x in row) for row in t)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -78,6 +78,8 @@ def crossing_pairs(a: Word) -> list[tuple[int, int]]:
     window = list(range(1, a.n + 1))
     pairs = []
     for t in a.letters:
+        if not 1 <= t < a.n:
+            raise ValueError(f"letter {t} out of range for ambient size {a.n}")
         u, v = window[t - 1], window[t]
         pairs.append((min(u, v), max(u, v)))
         window[t - 1], window[t] = v, u
@@ -125,9 +127,9 @@ def little_bump(a: Word, t1: int) -> Word:
     The Little bump of a starting at t1.
 
     Requires a reduced with a^(t1) also reduced.  Bump at t1; while the word
-    is unreduced it has a unique pair of lines crossing twice, and deleting
-    either of the two crossing letters restores reducedness.  One of the two
-    is the letter just bumped; bump the other and repeat.
+    is unreduced, the pair of lines that cross at the letter just bumped
+    is the unique pair crossing twice (Little 2003).  Bump the letter at
+    the other time they cross and repeat.
 
     >>> little_bump(Word((3, 1, 4, 5, 2), 6), 4).letters
     (2, 1, 3, 4, 2)
@@ -141,13 +143,12 @@ def little_bump(a: Word, t1: int) -> Word:
     for _ in range(guard):
         if is_reduced(b):
             return b
-        candidates = [
-            s
-            for s in range(1, len(b.letters) + 1)
-            if s != t and is_reduced(delete_letter(b, s))
+        pairs = crossing_pairs(b)
+        others = [
+            s for s, pair in enumerate(pairs, start=1) if s != t and pair == pairs[t - 1]
         ]
-        assert len(candidates) == 1, (a.letters, b.letters, candidates)
-        t = candidates[0]
+        assert len(others) == 1, (a.letters, b.letters, others)
+        t = others[0]
         b = bump_at(b, t)
     raise AssertionError(f"bump chain did not terminate within {guard} steps")
 
@@ -218,9 +219,3 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 def format_word(letters: tuple[int, ...]) -> str:
     return "(" + ",".join(str(x) for x in letters) + ")"
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -8,6 +8,9 @@ polynomial of the longest element.  That top polynomial is x^delta for
 the single form and the product of (x_i - y_j) over i + j <= n for the
 double form.
 
+The deletion route finds each next letter of a Little bump as the one
+other position whose deletion leaves the bumped word reduced.
+
 The tile route validates a bumpless pipedream box by box through
 BumplessPipedream.tile: every kind first, then each box's edges against
 its neighbours and the boundary in row-major order, then a walk of each
@@ -17,6 +20,7 @@ pipe from the south boundary to its east exit.
 from stanley.permutations import length, longest_element, multiply_simple
 from stanley.pipedreams import EDGES
 from stanley.polynomials import SparsePoly, divided_difference
+from stanley.words import bump_at, delete_letter, is_reduced
 
 
 def staircase(n):
@@ -146,3 +150,20 @@ def validate_by_tiles(p):
             "some pair of pipes crosses twice"
         )
     return w
+
+
+def little_bump_by_deletion(a, t1):
+    """The Little bump of the reduced word a at t1, a^(t1) reduced: while
+    the bumped word is unreduced, bump the unique letter other than the
+    last one bumped whose deletion leaves it reduced."""
+    b, t = bump_at(a, t1), t1
+    while not is_reduced(b):
+        candidates = [
+            s
+            for s in range(1, len(b.letters) + 1)
+            if s != t and is_reduced(delete_letter(b, s))
+        ]
+        assert len(candidates) == 1, (a.letters, b.letters, candidates)
+        t = candidates[0]
+        b = bump_at(b, t)
+    return b

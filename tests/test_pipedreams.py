@@ -239,13 +239,29 @@ def test_reverse_droop_chain_reaches_rothe():
 def test_reverse_droop_errors():
     with pytest.raises(ValueError, match="no NW elbow"):
         reverse_droop(rothe(W231654), (4, 4))
+    # Pipedreams of S4 and S5 with an NW elbow that cannot be lifted.
+    p = BumplessPipedream(4, (".r--", "rjr-", "|rjr", "||r+"))
+    with pytest.raises(ValueError, match=r"northwest corner \(2,2\) is not an empty box"):
+        reverse_droop(p, (3, 3))
+    p = BumplessPipedream(5, ("..r--", ".r+--", "rj|r-", "|rj|r", "||r++"))
+    with pytest.raises(ValueError, match=r"another elbow at \(2,2\)"):
+        reverse_droop(p, (4, 3))
+    # No pipedream of S1-S5 has these faults, so they are exercised with
+    # deliberately broken grids, as in test_droop_reroute_collision.
+    with pytest.raises(ValueError, match="no pipe running west"):
+        reverse_droop(BumplessPipedream(2, ("..", ".j")), (2, 2))
+    with pytest.raises(ValueError, match="no pipe running north"):
+        reverse_droop(BumplessPipedream(2, ("..", "rj")), (2, 2))
+    with pytest.raises(ValueError, match=r"cannot lift the pipe through Vertical at \(2, 1\)"):
+        reverse_droop(BumplessPipedream(3, ("..r", "|.|", "r-j")), (3, 3))
 
 
 def test_reverse_droop_inverts_every_droop():
-    for w in all_permutations(4):
-        for p in enumerate_all(w):
-            for _, target, q in legal_droops(p):
-                assert reverse_droop(q, target) == p
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            for p in enumerate_all(w):
+                for _, target, q in legal_droops(p):
+                    assert reverse_droop(q, target) == p
 
 
 def test_pivots():
@@ -301,6 +317,32 @@ def test_dominant_has_single_pipedream():
 def test_is_eg():
     assert is_eg(rothe((3, 2, 1))) == (2, 1)
     assert is_eg(rothe(W231654)) is None
+
+
+def test_is_eg_matches_definition():
+    # An EG-pipedream's empty boxes form the Young diagram of a partition
+    # lam: row i holds the empty boxes (i, 1), ..., (i, lam_i) and no
+    # other.  is_eg reads only where the empty boxes are, so every pattern
+    # of them on grids up to 4x4 is checked.
+    for n in range(1, 5):
+        for mask in range(2 ** (n * n)):
+            rows = tuple(
+                "".join("." if mask >> (i * n + j) & 1 else "+" for j in range(n))
+                for i in range(n)
+            )
+            lam = [row.count(".") for row in rows]
+            while lam and lam[-1] == 0:
+                lam.pop()
+            empty = {
+                (i, j)
+                for i, row in enumerate(rows, start=1)
+                for j, t in enumerate(row, start=1)
+                if t == "."
+            }
+            young = all(a >= b for a, b in zip(lam, lam[1:])) and empty == {
+                (i, j) for i, k in enumerate(lam, start=1) for j in range(1, k + 1)
+            }
+            assert is_eg(BumplessPipedream(n, rows)) == (tuple(lam) if young else None)
 
 
 def test_enumerate_231654():

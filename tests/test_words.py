@@ -1,9 +1,11 @@
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stanley.permutations import length, reduced_words
+from oracles import little_bump_by_deletion
+from stanley.permutations import all_permutations, length, reduced_words
 from stanley.words import (
     Word,
     bump_at,
@@ -33,6 +35,11 @@ def reduced(draw):
 
 def descent_set(letters):
     return {t for t in range(1, len(letters)) if letters[t - 1] > letters[t]}
+
+
+def admissible(a):
+    """The t1 at which a can be bumped: those with a^(t1) reduced."""
+    return [t for t in range(1, len(a.letters) + 1) if is_reduced(delete_letter(a, t))]
 
 
 def test_word_constructor_defaults_ambient_size():
@@ -87,6 +94,10 @@ def test_crossing_pairs():
         (3, 6),
         (1, 4),
     ]
+    # Letter 0 would read the last window slot and letter n past its end.
+    for letters in ((0,), (3,), (1, 3)):
+        with pytest.raises(ValueError, match="letter . out of range for ambient size 3"):
+            crossing_pairs(Word(letters, 3))
 
 
 def test_crossing_time():
@@ -95,6 +106,8 @@ def test_crossing_time():
     assert crossing_time(a, 3, 6) == 4
     with pytest.raises(ValueError, match="cross 0 times"):
         crossing_time(a, 5, 6)
+    with pytest.raises(ValueError, match="letter 0 out of range"):
+        crossing_time(Word((0,), 3), 1, 3)
 
 
 def test_bump_at():
@@ -125,11 +138,7 @@ def test_little_bump_rejects_bad_input():
 @settings(deadline=None)
 @given(reduced(), st.data())
 def test_little_bump_preserves_descents_and_length(a, data):
-    valid = [
-        t
-        for t in range(1, len(a.letters) + 1)
-        if is_reduced(delete_letter(a, t))
-    ]
+    valid = admissible(a)
     if not valid:
         return
     t1 = data.draw(st.sampled_from(valid))
@@ -137,6 +146,33 @@ def test_little_bump_preserves_descents_and_length(a, data):
     assert is_reduced(b)
     assert len(b.letters) == len(a.letters)
     assert descent_set(b.letters) == descent_set(a.letters)
+
+
+def random_reduced_word(w, rng):
+    """A reduced word of w, read off by sorting w with random adjacent
+    swaps of descents, the last swap first."""
+    w, letters = list(w), []
+    while descents := [i for i in range(1, len(w)) if w[i - 1] > w[i]]:
+        i = rng.choice(descents)
+        w[i - 1], w[i] = w[i], w[i - 1]
+        letters.append(i)
+    return tuple(reversed(letters))
+
+
+def test_little_bump_matches_deletion_oracle():
+    # Every reduced word of S1-S5, then 3,000 seeded reduced words of S6.
+    words = [
+        Word(letters, n)
+        for n in range(1, 6)
+        for w in all_permutations(n)
+        for letters in reduced_words(w)
+    ]
+    rng = random.Random(6)
+    for _ in range(3000):
+        words.append(Word(random_reduced_word(rng.sample(range(1, 7), 6), rng), 6))
+    for a in words:
+        for t1 in admissible(a):
+            assert little_bump(a, t1) == little_bump_by_deletion(a, t1)
 
 
 def test_little_map_known_values():
