@@ -13,12 +13,14 @@ error (a failed invariant check), which is a bug.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .bijection import Step, backward_walk, forward_walk, tableau_of_walk
 from .permutations import format_permutation, parse_permutation
 from .pipedreams import (
+    eg_shape_counts,
     enumerate_all,
     is_eg,
     parse as parse_pipedream,
@@ -150,15 +152,23 @@ def cmd_bijection(args) -> int:
 
 def cmd_verify(args) -> int:
     w = parse_permutation(args.permutation)
+    # One enumeration of the bumpless pipedreams serves the pipedreams
+    # route and the weight sum.
+    dreams = enumerate_all(w)
     methods = ["tableaux", "pipedreams", "mls_leaves", "monomial"]
-    results = {m: eg_coeffs(w, method=m) for m in methods}
+    results = {
+        m: eg_shape_counts(dreams) if m == "pipedreams" else eg_coeffs(w, method=m)
+        for m in methods
+    }
     agree = all(results[m] == results[methods[0]] for m in methods[1:])
     for m in methods:
         print(f"{m + ':':<12} {format_coeffs(results[m])}")
 
-    total = SparsePoly.zero()
-    for p in enumerate_all(w):
-        total = total + weight(p)
+    terms: dict = {}
+    for p in dreams:
+        for key, c in weight(p).terms.items():
+            terms[key] = terms.get(key, 0) + c
+    total = SparsePoly(terms)
     weights_ok = (
         total == double_schubert(w)
         and total.substitute_y_zero() == schubert_bjs(w)
@@ -242,8 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call to main and reused by every later one.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

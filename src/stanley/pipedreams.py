@@ -18,8 +18,10 @@ r+-
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .permutations import Perm, apply_transposition, inverse, length, up_pivots
 from .polynomials import SparsePoly
@@ -333,19 +335,28 @@ def max_pivot_box(w: Perm) -> tuple[int, int]:
     >>> max_pivot_box((2, 3, 1, 6, 5, 4))
     (5, 6)
     """
+    p, q, _ = _max_pivot_box(w)
+    return p, q
+
+
+def _max_pivot_box(w: Perm) -> tuple[int, int, list[int]]:
+    """max_pivot_box with the pivot positions up_pivots(w t_pq, p) found
+    on the way, for the callers that expand the box."""
     inv = inverse(w)
     for p, c in sorted(rothe_diagram(w), reverse=True):
         q = inv[c - 1]
-        if up_pivots(apply_transposition(w, p, q), p):
-            return p, q
+        pivots = up_pivots(apply_transposition(w, p, q), p)
+        if pivots:
+            return p, q, pivots
     raise ValueError(f"{w} is dominant: no empty box has a pivot")
 
 
 def weight(p: BumplessPipedream) -> SparsePoly:
-    """The product of x_i - y_j over the empty boxes (i, j)."""
+    """The product of x_i - y_j over the empty boxes (i, j), one root
+    factor multiplied in at a time."""
     out = SparsePoly.constant(1)
     for i, j in p.empty_boxes():
-        out = out * (SparsePoly.x(i) - SparsePoly.y(j))
+        out = out._times_root(i, j)
     return out
 
 
@@ -367,6 +378,11 @@ def is_eg(p: BumplessPipedream) -> tuple[int, ...] | None:
     ):
         return None
     return tuple(row_counts)
+
+
+def eg_shape_counts(dreams: Iterable[BumplessPipedream]) -> dict[tuple[int, ...], int]:
+    """The number of EG-pipedreams of each shape among dreams."""
+    return dict(Counter(lam for lam in map(is_eg, dreams) if lam is not None))
 
 
 def enumerate_all(w: Perm) -> list[BumplessPipedream]:

@@ -2,8 +2,11 @@
 Exact sparse polynomials in two alphabets, and the symmetric-function side
 of reduced word combinatorics: Stanley symmetric functions (truncated to
 finitely many variables), Schubert and double Schubert polynomials, Schur
-polynomials, and the expansion machinery connecting them.  Double
-Schubert polynomials come from the transition at the last descent.
+polynomials, and the expansion machinery connecting them.  Stanley and
+Schubert polynomials come from one recursion down the weak order that
+peels a factorization into decreasing words, without listing reduced
+words; double Schubert polynomials come from the transition at the last
+descent, one root factor x_r - y_j at a time.
 
 All coefficients are exact integers.  A term maps a pair of exponent
 vectors (one for x, one for y, trailing zeros dropped) to its coefficient.
@@ -19,7 +22,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .permutations import (
     Perm,
@@ -28,12 +31,11 @@ from .permutations import (
     descents,
     last_descent_step,
     length,
-    reduced_words,
+    multiply_simple,
 )
 
 Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
-Steps = tuple[tuple[bool, int], ...]
 
 
 def _trim(exps: Exponents) -> Exponents:
@@ -48,6 +50,13 @@ def _merge(a: Exponents, b: Exponents) -> Exponents:
     if len(a) < len(b):
         a, b = b, a
     return (*map(operator.add, a, b), *a[len(b):])
+
+
+def _bump(exps: Exponents, i: int) -> Exponents:
+    """exps with its i-th entry raised by one; trimmed when exps is."""
+    if i <= len(exps):
+        return (*exps[:i - 1], exps[i - 1] + 1, *exps[i:])
+    return (*exps, *(0,) * (i - 1 - len(exps)), 1)
 
 
 class SparsePoly:
@@ -145,6 +154,24 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
+    def _times_root(self, i: int, j: int) -> SparsePoly:
+        """
+        self * (x_i - y_j), term by term: each term gives one with its x_i
+        exponent raised and one, negated, with its y_j exponent raised.
+
+        >>> print(SparsePoly.x(1)._times_root(2, 1))
+        x1*x2 - x1*y1
+        """
+        if i < 1 or j < 1:
+            raise ValueError(f"variable index must be positive: x{i} - y{j}")
+        out: dict[TermKey, int] = {}
+        for (xe, ye), c in self.terms.items():
+            key = (_bump(xe, i), ye)
+            out[key] = out.get(key, 0) + c
+            key = (xe, _bump(ye, j))
+            out[key] = out.get(key, 0) - c
+        return SparsePoly._of(out)
+
     def coefficient(self, xexp: Exponents, yexp: Exponents = ()) -> int:
         return self.terms.get((_trim(tuple(xexp)), _trim(tuple(yexp))), 0)
 
@@ -219,44 +246,45 @@ class SparsePoly:
         return f"SparsePoly({self})"
 
 
-def _add_sequences(
-    out: dict[TermKey, int], steps: Steps, expo: list[int], i: int, prev: int, c: int
-) -> None:
+def _factor_sum(
+    u: Perm, k: int, floor_k: bool, memo: dict[tuple[Perm, int], dict[Exponents, int]]
+) -> dict[Exponents, int]:
     """
-    Add c * x^b to out for every b_i, ..., b_l continuing from b_{i-1} = prev,
-    where steps[j] = (rise, cap) asks for b_{j-1} + rise <= b_j <= cap.  Not a
-    closure: a recursive closure is a reference cycle that keeps out alive
-    until the cycle collector runs.
+    The x-exponents and coefficients of the sum over factorizations
+    u = d_1 d_2 ... d_k, lengths adding up, of prod x_j^{l(d_j)}, where each
+    d_j is a strictly decreasing word with letters at least j when floor_k
+    is set and at least 1 otherwise.  Factor k is peeled off the right end
+    of u: a run of right descents with rising letters.  Memoised in memo
+    on (u, k).  Not a closure: a recursive closure is a reference cycle
+    that keeps memo alive until the cycle collector runs.
     """
-    if i == len(steps):
-        key = (_trim(tuple(expo)), ())
-        out[key] = out.get(key, 0) + c
-        return
-    rise, cap = steps[i]
-    for b in range(prev + rise, cap + 1):
-        expo[b - 1] += 1
-        _add_sequences(out, steps, expo, i + 1, b, c)
-        expo[b - 1] -= 1
+    key = (u, k)
+    if key in memo:
+        return memo[key]
+    out: dict[Exponents, int] = {}
+    if k == 0:
+        if not descents(u):
+            out[()] = 1
+    else:
+        pad = (0,) * (k - 1)
+        stack = [(u, k if floor_k else 1, 0)]
+        while stack:
+            v, lowest, e = stack.pop()
+            for xe, c in _factor_sum(v, k - 1, floor_k, memo).items():
+                if e:
+                    xe = (*xe, *pad[len(xe):], e)
+                out[xe] = out.get(xe, 0) + c
+            for d in range(lowest, len(v)):
+                if v[d - 1] > v[d]:
+                    stack.append((multiply_simple(v, d), d + 1, e + 1))
+    memo[key] = out
+    return out
 
 
-def _compatible_sum(
-    w: Perm, caps: Callable[[tuple[int, ...]], tuple[int, ...]]
-) -> SparsePoly:
-    """
-    The sum of x_{b_1}...x_{b_l} over reduced words a of w and sequences
-    1 <= b_1 <= ... <= b_l with b_i <= caps(a)[i], rising strictly
-    wherever a rises.  The inner sum depends on a only through its ascents
-    and its caps, so it is enumerated once per such pair.
-    """
-    groups = Counter(
-        tuple(zip((False, *(x < y for x, y in zip(a, a[1:]))), caps(a)))
-        for a in reduced_words(w)
-    )
-    out: dict[TermKey, int] = {}
-    for steps, count in groups.items():
-        expo = [0] * max((cap for _, cap in steps), default=0)
-        _add_sequences(out, steps, expo, 0, 1, count)
-    return SparsePoly._of(out)
+def _compatible_poly(w: Perm, m: int, floor_k: bool) -> SparsePoly:
+    """_factor_sum of w in m factors, as a polynomial."""
+    terms = _factor_sum(w, m, floor_k, {})
+    return SparsePoly._of({(xe, ()): c for xe, c in terms.items()})
 
 
 def stanley_truncated(w: Perm, m: int | None = None) -> SparsePoly:
@@ -268,6 +296,12 @@ def stanley_truncated(w: Perm, m: int | None = None) -> SparsePoly:
     rows than that and the truncation keeps every one.  That window is not
     the smallest one; eg_coeffs peels in max(len(code_partition(w)), 1).
 
+    The letters with b_i = k form a strictly decreasing run, so the sum is
+    over factorizations w = d_1...d_m into decreasing words, lengths adding
+    up, weighted by prod x_k^{l(d_k)} (the nilCoxeter product of Fomin and
+    Stanley).  _factor_sum peels the factors down the weak order, so no
+    reduced word is listed.
+
     >>> print(stanley_truncated((2, 1), 3))
     x1 + x2 + x3
     """
@@ -275,18 +309,20 @@ def stanley_truncated(w: Perm, m: int | None = None) -> SparsePoly:
         m = max(length(w), 1)
     if m < 1:
         raise ValueError(f"need at least one variable, got m={m}")
-    return _compatible_sum(w, lambda a: (m,) * len(a))
+    return _compatible_poly(w, m, floor_k=False)
 
 
 def schubert_bjs(w: Perm) -> SparsePoly:
     """
     The Schubert polynomial as the Billey-Jockusch-Stanley sum: compatible
-    sequences additionally bounded by b_i <= a_i.
+    sequences additionally bounded by b_i <= a_i.  In the factorization of
+    stanley_truncated that bound reads: factor d_k has letters at least k,
+    and as the letters are below len(w), there are len(w) - 1 factors.
 
     >>> print(schubert_bjs((1, 3, 2)))
     x1 + x2
     """
-    return _compatible_sum(w, lambda a: a)
+    return _compatible_poly(w, max(len(w) - 1, 0), floor_k=True)
 
 
 def divided_difference(f: SparsePoly, i: int) -> SparsePoly:
@@ -340,13 +376,13 @@ def double_schubert(w: Perm) -> SparsePoly:
 
 def _double_schubert(w: Perm, memo: dict[Perm, SparsePoly]) -> SparsePoly:
     """double_schubert memoised in memo.  Not a closure, for the reason
-    given at _add_sequences."""
+    given at _factor_sum."""
     if w in memo:
         return memo[w]
     if not descents(w):
         return SparsePoly.constant(1)
     r, s, v, pivots = last_descent_step(w)
-    out = (SparsePoly.x(r) - SparsePoly.y(w[s - 1])) * _double_schubert(v, memo)
+    out = _double_schubert(v, memo)._times_root(r, w[s - 1])
     for i in pivots:
         out = out + _double_schubert(apply_transposition(v, i, r), memo)
     memo[w] = out
@@ -466,9 +502,9 @@ def eg_coeffs(w: Perm, method: str = "tableaux") -> dict[tuple[int, ...], int]:
 
         shapes = map(shape, enumerate_reduced_word_tableaux(w))
     elif method == "pipedreams":
-        from .pipedreams import enumerate_all, is_eg
+        from .pipedreams import eg_shape_counts, enumerate_all
 
-        shapes = (lam for lam in map(is_eg, enumerate_all(w)) if lam is not None)
+        return eg_shape_counts(enumerate_all(w))
     elif method == "mls_leaves":
         from .trees import mls_tree
 

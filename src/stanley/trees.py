@@ -20,10 +20,16 @@ from .permutations import (
     is_dominant,
     is_grassmannian,
     last_descent_step,
-    up_pivots,
     up_slots,
 )
-from .pipedreams import BumplessPipedream, droop, is_eg, max_pivot_box, rothe, rothe_diagram
+from .pipedreams import (
+    BumplessPipedream,
+    _max_pivot_box,
+    droop,
+    is_eg,
+    rothe,
+    rothe_diagram,
+)
 
 
 @dataclass
@@ -84,14 +90,13 @@ def _expand_box_tree(w: Perm, decorate: bool) -> TransitionTree:
             if decorate:
                 assert is_eg(node.pipedream) is not None, u
             continue
-        p, q = max_pivot_box(u)
+        p, q, pivots = _max_pivot_box(u)
         if node.move is not None:
             parent = tree.nodes[node.parent]
             pp, pq, _ = node.move
             # Each expansion moves strictly up the box order.
             assert (p, u[q - 1]) < (pp, parent.perm[pq - 1]), (u, p, q)
         v = apply_transposition(u, p, q)
-        pivots = up_pivots(v, p)
         assert pivots, (u, p, q)
         slots = up_slots(v, p)
         assert {apply_transposition(v, p, j) for j in slots} == {u}, (u, p, q)

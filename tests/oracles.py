@@ -11,13 +11,25 @@ double form.
 The deletion route finds each next letter of a Little bump as the one
 other position whose deletion leaves the bumped word reduced.
 
+The grouped compatible sum computes the Stanley and Schubert polynomials
+from the Billey-Jockusch-Stanley definition: every reduced word with every
+compatible sequence, the words grouped by their ascents and caps.
+
 The tile route validates a bumpless pipedream box by box through
 BumplessPipedream.tile: every kind first, then each box's edges against
 its neighbours and the boundary in row-major order, then a walk of each
 pipe from the south boundary to its east exit.
 """
 
-from stanley.permutations import length, longest_element, multiply_simple
+from collections import Counter
+
+from stanley.permutations import (
+    descents,
+    length,
+    longest_element,
+    multiply_simple,
+    reduced_words,
+)
 from stanley.pipedreams import EDGES
 from stanley.polynomials import SparsePoly, divided_difference
 from stanley.words import bump_at, delete_letter, is_reduced
@@ -167,3 +179,48 @@ def little_bump_by_deletion(a, t1):
         t = candidates[0]
         b = bump_at(b, t)
     return b
+
+
+def count_reduced_words(w, memo):
+    """The number of reduced words of w, memoised in memo: a reduced word
+    of w ends in a descent d, the rest is a word of w s_d."""
+    if w not in memo:
+        down = descents(w)
+        memo[w] = 1 if not down else sum(
+            count_reduced_words(multiply_simple(w, d), memo) for d in down
+        )
+    return memo[w]
+
+
+def add_sequences(out, steps, expo, i, prev, c):
+    """
+    Add c * x^b to out for every b_i, ..., b_l continuing from b_{i-1} = prev,
+    where steps[j] = (rise, cap) asks for b_{j-1} + rise <= b_j <= cap.
+    """
+    if i == len(steps):
+        key = (tuple(expo), ())
+        out[key] = out.get(key, 0) + c
+        return
+    rise, cap = steps[i]
+    for b in range(prev + rise, cap + 1):
+        expo[b - 1] += 1
+        add_sequences(out, steps, expo, i + 1, b, c)
+        expo[b - 1] -= 1
+
+
+def compatible_sum(w, caps):
+    """
+    The sum of x_{b_1}...x_{b_l} over reduced words a of w and sequences
+    1 <= b_1 <= ... <= b_l with b_i <= caps(a)[i], rising strictly
+    wherever a rises.  The inner sum depends on a only through its ascents
+    and its caps, so it is enumerated once per such pair.
+    """
+    groups = Counter(
+        tuple(zip((False, *(x < y for x, y in zip(a, a[1:]))), caps(a)))
+        for a in reduced_words(w)
+    )
+    out = {}
+    for steps, count in groups.items():
+        expo = [0] * max((cap for _, cap in steps), default=0)
+        add_sequences(out, steps, expo, 0, 1, count)
+    return SparsePoly(out)

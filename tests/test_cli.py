@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from stanley.cli import main
 from stanley.pipedreams import is_eg, parse
 
@@ -261,6 +263,27 @@ def test_verify_long_s6_and_s7(capsys):
         "weight sum:  OK\n"
         "status: OK\n"
     )
+
+
+def test_schubert_past_s7(capsys):
+    # w0 of S8 has about 4.9e13 reduced words; none is listed.
+    status, out, err = run(capsys, "schubert", "87654321")
+    assert status == 0
+    assert out == "x1^7*x2^6*x3^5*x4^4*x5^3*x6^2*x7\n"
+    assert err == ""
+
+
+def test_parser_is_reused_across_errors(capsys):
+    first = run(capsys, "verify", "14325")
+    assert first[0] == 0
+    status, out, err = run(capsys, "verify", "1,1")
+    assert (status, out) == (2, "")
+    assert err.startswith("error:")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == 2
+    assert "required" in capsys.readouterr().err
+    assert run(capsys, "verify", "14325") == first
 
 
 def test_parse_errors_exit_nonzero(capsys):

@@ -4,9 +4,15 @@ from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import double_staircase, schubert_by_staircase, staircase
+from oracles import (
+    compatible_sum,
+    count_reduced_words,
+    double_staircase,
+    schubert_by_staircase,
+    staircase,
+)
 from stanley.permutations import (
     all_permutations,
     code_partition,
@@ -88,6 +94,27 @@ def test_arithmetic_keeps_keys_trimmed_and_coefficients_nonzero(f, g, k):
             assert c != 0
             assert xe[-1:] != (0,) and ye[-1:] != (0,)
         assert r == SparsePoly(dict(r.terms))
+
+
+@given(
+    two_alphabet_polys,
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+)
+# (x1 + y2)(x1 - y2): the two x1*y2 terms cancel.
+@example(x(1) + y(2), 1, 2)
+def test_root_factor_kernel_matches_the_general_product(f, i, j):
+    g = f._times_root(i, j)
+    assert g == f * (x(i) - y(j))
+    for (xe, ye), c in g.terms.items():
+        assert c != 0
+        assert xe[-1:] != (0,) and ye[-1:] != (0,)
+
+
+def test_root_factor_kernel_needs_positive_indices():
+    for i, j in ((0, 1), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="must be positive"):
+            x(1)._times_root(i, j)
 
 
 def test_display():
@@ -363,6 +390,43 @@ def test_stanley_truncated_matches_the_compatible_sequence_definition():
             m = max(length(w), 1)
             expected = compatible_sum_by_definition(w, lambda a: (m,) * len(a))
             assert stanley_truncated(w) == expected, w
+
+
+_word_counts = {}
+FEW_WORD_PERMS = [
+    w
+    for n in range(1, 7)
+    for w in all_permutations(n)
+    if count_reduced_words(w, _word_counts) <= 2000
+]
+
+
+def test_factor_recursion_matches_the_grouped_compatible_sum():
+    # The weak-order factor recursion against the compatible sum over every
+    # reduced word, on each element of S1-S6 with at most 2,000 of them.
+    assert len(FEW_WORD_PERMS) == 805
+    for w in FEW_WORD_PERMS:
+        assert schubert_bjs(w) == compatible_sum(w, lambda a: a), w
+        m = max(len(code_partition(w)), 1)
+        assert stanley_truncated(w, m) == compatible_sum(w, lambda a: (m,) * len(a)), w
+
+
+def test_factor_recursion_matches_the_grouped_compatible_sum_in_length_variables():
+    # The default window, m = length(w), on the same elements up to length
+    # 7 (499 of them, about 3 s); length 8 alone takes the sum about 11 s.
+    for w in FEW_WORD_PERMS:
+        if length(w) <= 7:
+            m = max(length(w), 1)
+            assert stanley_truncated(w) == compatible_sum(w, lambda a: (m,) * len(a)), w
+
+
+_s8_rng = random.Random(8)
+S8_SAMPLE = [tuple(_s8_rng.sample(range(1, 9), 8)) for _ in range(10)]
+
+
+@pytest.mark.parametrize("w", S8_SAMPLE)
+def test_monomial_route_agrees_past_s7(w):
+    assert eg_coeffs(w, "monomial") == eg_coeffs(w), w
 
 
 def conjugate(lam):

@@ -4,12 +4,11 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import count_reduced_words
 from stanley.permutations import (
     all_permutations,
-    descents,
     inverse,
     longest_element,
-    multiply_simple,
     reduced_words,
 )
 from stanley.polynomials import eg_coeffs
@@ -47,16 +46,6 @@ def hook_length_count(lam):
         leg = sum(1 for k in range(i + 1, len(lam)) if lam[k] > j)
         product *= arm + leg + 1
     return factorial(len(cells)) // product
-
-
-def count_reduced_words(w, memo):
-    # A reduced word of w ends in a descent d, the rest is a word of w s_d.
-    if w not in memo:
-        down = descents(w)
-        memo[w] = 1 if not down else sum(
-            count_reduced_words(multiply_simple(w, d), memo) for d in down
-        )
-    return memo[w]
 
 
 def tableaux_by_definition(w):
