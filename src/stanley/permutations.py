@@ -15,7 +15,8 @@ compares unequal to the original.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations as _permutations
+from itertools import combinations, permutations as _permutations, starmap
+from operator import gt
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -54,7 +55,7 @@ def length(w: Perm) -> int:
     >>> length((2, 3, 1, 6, 5, 4))
     5
     """
-    return sum(1 for i, j in combinations(range(len(w)), 2) if w[i] > w[j])
+    return sum(starmap(gt, combinations(w, 2)))
 
 
 def lehmer_code(w: Perm) -> tuple[int, ...]:
@@ -64,9 +65,7 @@ def lehmer_code(w: Perm) -> tuple[int, ...]:
     >>> lehmer_code((3, 5, 4, 1, 2))
     (2, 3, 2, 0, 0)
     """
-    return tuple(
-        sum(1 for j in range(i + 1, len(w)) if w[j] < w[i]) for i in range(len(w))
-    )
+    return tuple(sum(map(a.__gt__, w[i + 1:])) for i, a in enumerate(w))
 
 
 def code_partition(w: Perm) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .permutations import Perm, apply_transposition, inverse, length, up_pivots
 from .polynomials import SparsePoly
@@ -50,6 +50,16 @@ _KINDS = frozenset(EDGES)
 _NORTH, _SOUTH, _EAST, _WEST = (
     frozenset(t for t, edges in EDGES.items() if side in edges) for side in "NSEW"
 )
+# _trace joins the rows with "\n" and reads each side's edges off as a
+# string of flags, "1" where a box has that edge.  The separator has a
+# west edge and no other, so every row must end with an east edge (the
+# east boundary) and no row may start with a west edge (the west one).
+_FLAGS = tuple(
+    str.maketrans({t: "1" if t in side else "0" for t in (*EDGES, "\n")})
+    for side in (_NORTH, _SOUTH, _EAST, _WEST | {"\n"})
+)
+# The tiles a pipe runs straight through, north-south and west-east.
+_VERTICAL, _HORIZONTAL = frozenset("|+"), frozenset("-+")
 
 
 @dataclass(frozen=True)
@@ -119,13 +129,9 @@ def rothe(w: Perm) -> BumplessPipedream:
 
 def rothe_diagram(w: Perm) -> frozenset[Box]:
     """Boxes (i, j) with j < w_i and j appearing in w after position i."""
-    n = len(w)
     inv = inverse(w)
     return frozenset(
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if j < w[i - 1] and i < inv[j - 1]
+        (i, j) for i, v in enumerate(w, start=1) for j in range(1, v) if i < inv[j - 1]
     )
 
 
@@ -135,6 +141,12 @@ def validate(p: BumplessPipedream) -> Perm:
     and the no-double-crossing condition; return the traced permutation.
     The first fault in row-major order is raised as a ValueError, an
     unknown tile anywhere before any edge fault.
+
+    The edges are compared over whole row strings: the flags of every
+    box's south edge against those of the north edge of the box below,
+    every east edge against the west edge of the box to its right, and
+    the boundary rows and columns.  Only when a comparison fails are the
+    boxes scanned one by one in row-major order, to name the first fault.
 
     A pipedream is traced once: its rows never change, so the permutation
     is kept on the object and every later call on it returns that.  A
@@ -152,6 +164,46 @@ def _trace(p: BumplessPipedream) -> Perm:
         if not _KINDS.issuperset(row):
             j, t = next((j, t) for j, t in enumerate(row, start=1) if t not in _KINDS)
             raise ValueError(f"unknown tile {t!r} at ({i},{j})")
+    # Box (i, j) sits at index (i - 1) * (n + 1) + j of grid, so the box
+    # below it is n + 1 further on.
+    grid = "\n".join(("", *rows, ""))
+    north, south, east, west = (grid.translate(flags) for flags in _FLAGS)
+    step = n + 1
+    if (
+        "1" in north[:step]
+        or "0" in south[-step:-1]
+        or south[:-step] != north[step:]
+        or east[:-1] != west[1:]
+    ):
+        _raise_edge_fault(n, rows)
+    # Bottom row up: column[j] carries the pipe heading north out of the
+    # row below in column j + 1.  With its edges consistent a row reads
+    # SE elbow, NW elbow, ..., SE elbow from west to east, ignoring other
+    # tiles: each NW elbow turns north the pipe that the SE elbow before
+    # it turned east, and the pipe of the last SE elbow exits in that row.
+    column = list(range(1, n + 1))
+    w = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        j = row.find("r")
+        k = row.find("j", j)
+        while k >= 0:
+            column[k] = column[j]
+            j = row.find("r", k)
+            k = row.find("j", j)
+        w[i] = column[j]
+    w = tuple(w)
+    crossings = grid.count("+")
+    if crossings != length(w):
+        raise ValueError(
+            f"{crossings} crossings for a permutation of length {length(w)}: "
+            "some pair of pipes crosses twice"
+        )
+    return w
+
+
+def _raise_edge_fault(n: int, rows: tuple[str, ...]) -> NoReturn:
+    """Raise the first edge fault of the grid in row-major order."""
     for i, row in enumerate(rows, start=1):
         below = rows[i] if i < n else ""
         for j, t in enumerate(row, start=1):
@@ -168,28 +220,7 @@ def _trace(p: BumplessPipedream) -> Perm:
                 raise ValueError(f"dangling vertical edge between ({i},{j}) and ({i + 1},{j})")
             if j < n and east != (row[j] in _WEST):
                 raise ValueError(f"dangling horizontal edge between ({i},{j}) and ({i},{j + 1})")
-    # Bottom row up: column[j] carries the pipe heading north out of the
-    # row below in column j + 1.  An SE elbow turns that pipe east, an NW
-    # elbow turns the eastbound pipe north, and whichever pipe is heading
-    # east at the end of row i exits there.
-    column = list(range(1, n + 1))
-    w = [0] * n
-    for i in range(n - 1, -1, -1):
-        pipe = 0
-        for j, t in enumerate(rows[i]):
-            if t == "r":
-                pipe = column[j]
-            elif t == "j":
-                column[j] = pipe
-        w[i] = pipe
-    w = tuple(w)
-    crossings = sum(row.count("+") for row in rows)
-    if crossings != length(w):
-        raise ValueError(
-            f"{crossings} crossings for a permutation of length {length(w)}: "
-            "some pair of pipes crosses twice"
-        )
-    return w
+    raise AssertionError("the edge flags show a fault that no box has")
 
 
 # The droop of the SE elbow at the northwest corner (a, b) of a rectangle
@@ -222,18 +253,53 @@ def _reroute(
     given corners; the first box whose tile has no image raises ValueError.
     """
     (a, b), (c, d) = northwest, southeast
-    rim = [((a, b), "NW"), ((c, d), "SE"), ((c, b), "SW"), ((a, d), "NE")]
+    rim = [(a, b, "NW"), (c, d, "SE"), (c, b, "SW"), (a, d, "NE")]
     for i in range(a + 1, c):
-        rim += [((i, b), "W"), ((i, d), "E")]
+        rim += [(i, b, "W"), (i, d, "E")]
     for j in range(b + 1, d):
-        rim += [((a, j), "N"), ((c, j), "S")]
-    changes: dict[Box, str] = {}
-    for box, role in rim:
-        tile = p.tile(*box)
-        if tile not in maps[role]:
-            raise ValueError(f"{fault} {KIND_NAMES[tile]} at {box}")
-        changes[box] = maps[role][tile]
-    return p.replace(changes)
+        rim += [(a, j, "N"), (c, j, "S")]
+    grid = [list(row) for row in p.rows[a - 1:c]]
+    for i, j, role in rim:
+        row = grid[i - a]
+        image = maps[role].get(row[j - 1])
+        if image is None:
+            raise ValueError(f"{fault} {KIND_NAMES[row[j - 1]]} at {(i, j)}")
+        row[j - 1] = image
+    return BumplessPipedream(
+        p.n, p.rows[:a - 1] + tuple(map("".join, grid)) + p.rows[c:]
+    )
+
+
+def _check_boxes(n: int, *boxes: Box) -> None:
+    """Raise ValueError for the first box outside the n x n grid."""
+    for i, j in boxes:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"box {(i, j)} is outside the {n}x{n} grid")
+
+
+def _column(p: BumplessPipedream, j: int, top: int, bottom: int) -> str:
+    """The tiles of column j in rows top through bottom, north to south."""
+    return "".join(row[j - 1] for row in p.rows[top - 1:bottom])
+
+
+def _other_elbow(
+    p: BumplessPipedream, northwest: Box, southeast: Box, elbows: set[Box]
+) -> Box | None:
+    """
+    The first box of the rectangle with the given corners, in row-major
+    order, that holds an elbow and is not one of elbows (boxes of the
+    rectangle known to hold elbows); None when there is none.
+    """
+    (a, b), (c, d) = northwest, southeast
+    block = "".join(row[b - 1:d] for row in p.rows[a - 1:c])
+    if block.count("r") + block.count("j") == len(elbows):
+        return None
+    return next(
+        (i, j)
+        for i in range(a, c + 1)
+        for j in range(b, d + 1)
+        if (i, j) not in elbows and p.rows[i - 1][j - 1] in "rj"
+    )
 
 
 def droop(p: BumplessPipedream, elbow: Box, target: Box) -> BumplessPipedream:
@@ -242,11 +308,12 @@ def droop(p: BumplessPipedream, elbow: Box, target: Box) -> BumplessPipedream:
     southeast of it), rerouting the elbow's pipe from the west column and
     north row of the spanned rectangle to the south row and east column.
 
-    Raises ValueError when the move is illegal: (1) the pipe does not run
-    along the rectangle's west column and north row, (2) the rectangle
-    holds a second elbow, (3) the rerouted pipe would collide with another
-    pipe or break the grid.
+    Raises ValueError when a box lies outside the grid or the move is
+    illegal: (1) the pipe does not run along the rectangle's west column
+    and north row, (2) the rectangle holds a second elbow, (3) the
+    rerouted pipe would collide with another pipe or break the grid.
     """
+    _check_boxes(p.n, elbow, target)
     (a, b), (c, d) = elbow, target
     if p.tile(a, b) != "r":
         raise ValueError(f"no SE elbow at {elbow}")
@@ -254,19 +321,19 @@ def droop(p: BumplessPipedream, elbow: Box, target: Box) -> BumplessPipedream:
         raise ValueError(f"target {target} is not an empty box")
     if not (a < c and b < d):
         raise ValueError(f"target {target} is not strictly southeast of {elbow}")
-    if any(p.tile(i, b) not in "|+" for i in range(a + 1, c + 1)) or any(
-        p.tile(a, j) not in "-+" for j in range(b + 1, d + 1)
+    if not (
+        _VERTICAL.issuperset(_column(p, b, a + 1, c))
+        and _HORIZONTAL.issuperset(p.rows[a - 1][b:d])
     ):
         raise ValueError(
             "condition (1): the pipe must run along the west column and "
             "north row of the rectangle"
         )
-    for i in range(a, c + 1):
-        for j in range(b, d + 1):
-            if (i, j) != (a, b) and p.tile(i, j) in "rj":
-                raise ValueError(
-                    f"condition (2): the rectangle contains another elbow at ({i},{j})"
-                )
+    other = _other_elbow(p, elbow, target, {(a, b)})
+    if other is not None:
+        raise ValueError(
+            f"condition (2): the rectangle contains another elbow at ({other[0]},{other[1]})"
+        )
     out = _reroute(p, elbow, target, _DROOP, "condition (3): cannot reroute through")
     try:
         traced = validate(out)
@@ -281,25 +348,28 @@ def reverse_droop(p: BumplessPipedream, nw: Box) -> BumplessPipedream:
     Undo the droop that produced the NW elbow at `nw`: find the SE elbows
     west and north of it, lift the pipe back onto the rectangle's west
     column and north row, and free the target box: droop's rim map,
-    inverted.
+    inverted.  Raises ValueError when nw lies outside the grid or the
+    move is illegal.
     """
+    _check_boxes(p.n, nw)
     m, jm = nw
     if p.tile(m, jm) != "j":
         raise ValueError(f"no NW elbow at {nw}")
-    y = next((j for j in range(jm - 1, 0, -1) if p.tile(m, j) == "r"), None)
-    if y is None or any(p.tile(m, j) not in "-+" for j in range(y + 1, jm)):
+    row = p.rows[m - 1]
+    y = row.rfind("r", 0, jm - 1) + 1
+    if not y or not _HORIZONTAL.issuperset(row[y:jm - 1]):
         raise ValueError(f"no pipe running west from {nw} to an SE elbow")
-    x = next((i for i in range(m - 1, 0, -1) if p.tile(i, jm) == "r"), None)
-    if x is None or any(p.tile(i, jm) not in "|+" for i in range(x + 1, m)):
+    column = _column(p, jm, 1, m - 1)
+    x = column.rfind("r") + 1
+    if not x or not _VERTICAL.issuperset(column[x:]):
         raise ValueError(f"no pipe running north from {nw} to an SE elbow")
     if p.tile(x, y) != ".":
         raise ValueError(f"northwest corner ({x},{y}) is not an empty box")
-    for i in range(x, m + 1):
-        for j in range(y, jm + 1):
-            if (i, j) not in ((m, y), (x, jm), (m, jm)) and p.tile(i, j) in "rj":
-                raise ValueError(
-                    f"the rectangle contains another elbow at ({i},{j})"
-                )
+    other = _other_elbow(p, (x, y), nw, {(m, y), (x, jm), (m, jm)})
+    if other is not None:
+        raise ValueError(
+            f"the rectangle contains another elbow at ({other[0]},{other[1]})"
+        )
     out = _reroute(p, (x, y), nw, _LIFT, "cannot lift the pipe through")
     traced = validate(out)
     assert traced == validate(p), "reverse droop changed the traced permutation"
@@ -315,9 +385,12 @@ def pivots(w: Perm, box: Box) -> list[Box]:
     strictly northwest of the box whose spanned rectangle holds no other
     elbow.
 
+    Raises ValueError when the box lies outside the grid or is not empty.
+
     >>> pivots((2, 3, 1, 6, 5, 4), (5, 4))
     [(2, 3), (3, 1)]
     """
+    _check_boxes(len(w), box)
     if box not in rothe_diagram(w):
         raise ValueError(f"{box} is not an empty box of the Rothe pipedream")
     p, c = box

@@ -75,15 +75,25 @@ def is_reduced(a: Word) -> bool:
 
 def crossing_pairs(a: Word) -> list[tuple[int, int]]:
     """The pair of values interchanged at each time, as (smaller, larger)."""
+    return _crossings(a)[1]
+
+
+def _crossings(a: Word) -> tuple[bool, list[tuple[int, int]]]:
+    """is_reduced(a) and crossing_pairs(a), from one pass over the letters."""
     window = list(range(1, a.n + 1))
+    reduced = True
     pairs = []
     for t in a.letters:
         if not 1 <= t < a.n:
             raise ValueError(f"letter {t} out of range for ambient size {a.n}")
         u, v = window[t - 1], window[t]
-        pairs.append((min(u, v), max(u, v)))
+        if u < v:
+            pairs.append((u, v))
+        else:
+            reduced = False
+            pairs.append((v, u))
         window[t - 1], window[t] = v, u
-    return pairs
+    return reduced, pairs
 
 
 def crossing_time(a: Word, u: int, v: int) -> int:
@@ -136,14 +146,19 @@ def little_bump(a: Word, t1: int) -> Word:
     """
     if not is_reduced(a):
         raise ValueError(f"word is not reduced: {a.letters}")
+    return _bump(a, t1)
+
+
+def _bump(a: Word, t1: int) -> Word:
+    """little_bump of a word a already known to be reduced."""
     if not is_reduced(delete_letter(a, t1)):
         raise ValueError(f"deleting letter {t1} does not leave a reduced word")
     guard = 10 * (a.n + len(a.letters)) ** 2
     b, t = bump_at(a, t1), t1
     for _ in range(guard):
-        if is_reduced(b):
+        reduced, pairs = _crossings(b)
+        if reduced:
             return b
-        pairs = crossing_pairs(b)
         others = [
             s for s, pair in enumerate(pairs, start=1) if s != t and pair == pairs[t - 1]
         ]
@@ -172,7 +187,7 @@ def little_map(a: Word, k: int, v: int) -> Word:
     if not 1 <= k <= a.n:
         raise ValueError(f"index k={k} out of range for ambient size {a.n}")
     t1 = crossing_time(a, w[k - 1], v)
-    return little_bump(a, t1)
+    return _bump(a, t1)
 
 
 def reverse(a: Word) -> Word:

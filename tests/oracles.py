@@ -18,7 +18,8 @@ compatible sequence, the words grouped by their ascents and caps.
 The tile route validates a bumpless pipedream box by box through
 BumplessPipedream.tile: every kind first, then each box's edges against
 its neighbours and the boundary in row-major order, then a walk of each
-pipe from the south boundary to its east exit.
+pipe from the south boundary to its east exit.  The droop and the reverse
+droop are checked and carried out the same way, one tile at a time.
 """
 
 from collections import Counter
@@ -30,7 +31,7 @@ from stanley.permutations import (
     multiply_simple,
     reduced_words,
 )
-from stanley.pipedreams import EDGES
+from stanley.pipedreams import _DROOP, _LIFT, EDGES, KIND_NAMES
 from stanley.polynomials import SparsePoly, divided_difference
 from stanley.words import bump_at, delete_letter, is_reduced
 
@@ -162,6 +163,90 @@ def validate_by_tiles(p):
             "some pair of pipes crosses twice"
         )
     return w
+
+
+def check_boxes_by_tiles(p, *boxes):
+    """The ValueError for the first box outside the grid of p."""
+    for box in boxes:
+        if not all(1 <= x <= p.n for x in box):
+            raise ValueError(f"box {box} is outside the {p.n}x{p.n} grid")
+
+
+def reroute_by_tiles(p, northwest, southeast, maps, fault):
+    """The rim of the rectangle with the given corners mapped box by box,
+    corners first, then the west and east sides, then the north and south."""
+    (a, b), (c, d) = northwest, southeast
+    rim = [((a, b), "NW"), ((c, d), "SE"), ((c, b), "SW"), ((a, d), "NE")]
+    for i in range(a + 1, c):
+        rim += [((i, b), "W"), ((i, d), "E")]
+    for j in range(b + 1, d):
+        rim += [((a, j), "N"), ((c, j), "S")]
+    changes = {}
+    for box, role in rim:
+        tile = p.tile(*box)
+        if tile not in maps[role]:
+            raise ValueError(f"{fault} {KIND_NAMES[tile]} at {box}")
+        changes[box] = maps[role][tile]
+    return p.replace(changes)
+
+
+def droop_by_tiles(p, elbow, target):
+    """pipedreams.droop with every condition read one tile at a time."""
+    check_boxes_by_tiles(p, elbow, target)
+    (a, b), (c, d) = elbow, target
+    if p.tile(a, b) != "r":
+        raise ValueError(f"no SE elbow at {elbow}")
+    if p.tile(c, d) != ".":
+        raise ValueError(f"target {target} is not an empty box")
+    if not (a < c and b < d):
+        raise ValueError(f"target {target} is not strictly southeast of {elbow}")
+    if any(p.tile(i, b) not in "|+" for i in range(a + 1, c + 1)) or any(
+        p.tile(a, j) not in "-+" for j in range(b + 1, d + 1)
+    ):
+        raise ValueError(
+            "condition (1): the pipe must run along the west column and "
+            "north row of the rectangle"
+        )
+    for i in range(a, c + 1):
+        for j in range(b, d + 1):
+            if (i, j) != (a, b) and p.tile(i, j) in "rj":
+                raise ValueError(
+                    f"condition (2): the rectangle contains another elbow at ({i},{j})"
+                )
+    out = reroute_by_tiles(p, elbow, target, _DROOP, "condition (3): cannot reroute through")
+    try:
+        traced = validate_by_tiles(out)
+    except ValueError as exc:
+        raise ValueError(f"condition (3): droop result is not a pipedream: {exc}")
+    assert traced == validate_by_tiles(p), "droop changed the traced permutation"
+    return out
+
+
+def reverse_droop_by_tiles(p, nw):
+    """pipedreams.reverse_droop with every condition read one tile at a time."""
+    check_boxes_by_tiles(p, nw)
+    m, jm = nw
+    if p.tile(m, jm) != "j":
+        raise ValueError(f"no NW elbow at {nw}")
+    y = next((j for j in range(jm - 1, 0, -1) if p.tile(m, j) == "r"), None)
+    if y is None or any(p.tile(m, j) not in "-+" for j in range(y + 1, jm)):
+        raise ValueError(f"no pipe running west from {nw} to an SE elbow")
+    x = next((i for i in range(m - 1, 0, -1) if p.tile(i, jm) == "r"), None)
+    if x is None or any(p.tile(i, jm) not in "|+" for i in range(x + 1, m)):
+        raise ValueError(f"no pipe running north from {nw} to an SE elbow")
+    if p.tile(x, y) != ".":
+        raise ValueError(f"northwest corner ({x},{y}) is not an empty box")
+    for i in range(x, m + 1):
+        for j in range(y, jm + 1):
+            if (i, j) not in ((m, y), (x, jm), (m, jm)) and p.tile(i, j) in "rj":
+                raise ValueError(
+                    f"the rectangle contains another elbow at ({i},{j})"
+                )
+    out = reroute_by_tiles(p, (x, y), nw, _LIFT, "cannot lift the pipe through")
+    traced = validate_by_tiles(out)
+    assert traced == validate_by_tiles(p), "reverse droop changed the traced permutation"
+    assert droop_by_tiles(out, (x, y), (m, jm)) == p, "reverse droop is not a droop inverse"
+    return out
 
 
 def little_bump_by_deletion(a, t1):

@@ -1,7 +1,15 @@
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import max_pivot_box_by_pattern, pivots_by_rectangle, validate_by_tiles
+from oracles import (
+    droop_by_tiles,
+    max_pivot_box_by_pattern,
+    pivots_by_rectangle,
+    reverse_droop_by_tiles,
+    validate_by_tiles,
+)
 from stanley.permutations import (
     all_permutations,
     identity,
@@ -126,21 +134,46 @@ def outcome(check, p):
         return str(exc)
 
 
+# Every tile kind and three characters that are not tiles, the newline
+# among them: validate joins the rows with it after checking the kinds.
+SUBSTITUTES = ".rj-|+#x\n"
+
+
+def substituted(p, changes):
+    """p with the tile at each 0-based (i, j) of changes replaced."""
+    grid = [list(row) for row in p.rows]
+    for (i, j), t in changes:
+        grid[i][j] = t
+    return BumplessPipedream(p.n, tuple(map("".join, grid)))
+
+
 def test_validate_matches_tile_oracle():
     # Every single-tile substitution of every pipedream of S1-S4: the same
     # permutation or the same first fault as the tile-by-tile oracle.
     for n in range(1, 5):
         for w in all_permutations(n):
             for p in enumerate_all(w):
-                for i, row in enumerate(p.rows):
+                for i in range(n):
                     for j in range(n):
-                        for t in ".rj-|+":
-                            rows = p.rows[:i] + (row[:j] + t + row[j + 1:],) + p.rows[i + 1:]
-                            q = BumplessPipedream(n, rows)
+                        for t in SUBSTITUTES:
+                            q = substituted(p, [((i, j), t)])
                             assert outcome(validate, q) == outcome(validate_by_tiles, q)
     for w in all_permutations(5):
         for p in enumerate_all(w):
             assert validate(p) == validate_by_tiles(p) == w
+
+
+def test_validate_matches_tile_oracle_on_two_substitutions():
+    # Every two-tile substitution of every pipedream of S1-S3: faults in
+    # two rows, and a kind fault after an edge fault in row-major order.
+    for n in range(1, 4):
+        boxes = [(i, j) for i in range(n) for j in range(n)]
+        for w in all_permutations(n):
+            for p in enumerate_all(w):
+                for first, second in combinations(boxes, 2):
+                    for s, t in product(SUBSTITUTES, repeat=2):
+                        q = substituted(p, [(first, s), (second, t)])
+                        assert outcome(validate, q) == outcome(validate_by_tiles, q)
 
 
 def test_validate_fresh_copy_agrees():
@@ -254,6 +287,9 @@ def test_reverse_droop_errors():
         reverse_droop(BumplessPipedream(2, ("..", "rj")), (2, 2))
     with pytest.raises(ValueError, match=r"cannot lift the pipe through Vertical at \(2, 1\)"):
         reverse_droop(BumplessPipedream(3, ("..r", "|.|", "r-j")), (3, 3))
+    # The rim's west side is read before its north side.
+    with pytest.raises(ValueError, match=r"cannot lift the pipe through Vertical at \(2, 1\)"):
+        reverse_droop(BumplessPipedream(3, (".-r", "|.|", "r-j")), (3, 3))
 
 
 def test_reverse_droop_inverts_every_droop():
@@ -262,6 +298,75 @@ def test_reverse_droop_inverts_every_droop():
             for p in enumerate_all(w):
                 for _, target, q in legal_droops(p):
                     assert reverse_droop(q, target) == p
+
+
+def move_outcome(move, *args):
+    """The rows a move returns, or the type and message of what it raises."""
+    try:
+        return move(*args).rows
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def outside_boxes(n):
+    return [(0, 0), (0, 1), (1, 0), (-1, -1), (-1, n), (n + 1, 1), (1, n + 1), (n + 1, n + 1)]
+
+
+def assert_moves_match_tile_oracle(p, elbows, targets, nws):
+    for elbow, target in product(elbows, targets):
+        assert move_outcome(droop, p, elbow, target) == move_outcome(
+            droop_by_tiles, p, elbow, target
+        )
+    for nw in nws:
+        assert move_outcome(reverse_droop, p, nw) == move_outcome(
+            reverse_droop_by_tiles, p, nw
+        )
+
+
+def test_droop_matches_tile_oracle():
+    # droop and reverse_droop read rows and columns as slices; the oracles
+    # read one tile at a time.  The same grid or the same exception: every
+    # box pair on S1-S4, every SE elbow with every box on S5, every box
+    # for the reverse droop on S1-S5, and boxes outside the grid.
+    for n in range(1, 6):
+        boxes = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        corners, outside = [(1, 1), (n, n)], outside_boxes(n)
+        for w in all_permutations(n):
+            for p in enumerate_all(w):
+                elbows = boxes if n < 5 else p.se_elbows()
+                assert_moves_match_tile_oracle(p, elbows, boxes, boxes)
+                assert_moves_match_tile_oracle(p, corners, outside, outside)
+                assert_moves_match_tile_oracle(p, outside, corners + outside, ())
+
+
+def test_droop_matches_tile_oracle_on_broken_grids():
+    # Every single-tile substitution of every pipedream of S1-S4 reaches
+    # the reroute's faults and condition (3), which no pipedream does.
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            for p in enumerate_all(w):
+                for i, j, t in product(range(n), range(n), ".rj-|+"):
+                    q = substituted(p, [((i, j), t)])
+                    assert_moves_match_tile_oracle(
+                        q, q.se_elbows(), q.empty_boxes(), q.nw_elbows()
+                    )
+
+
+def test_moves_reject_boxes_outside_the_grid():
+    # Refused before any tile is read: reading such a box would raise
+    # IndexError, or reach the far side of the grid by negative indexing.
+    with pytest.raises(ValueError, match=r"box \(-1, -1\) is outside the 2x2 grid"):
+        droop(rothe((2, 1)), (-1, -1), (-1, 3))
+    with pytest.raises(ValueError, match=r"box \(0, 0\) is outside the 3x3 grid"):
+        droop(rothe((2, 1, 3)), (0, 0), (2, 2))
+    with pytest.raises(ValueError, match=r"box \(4, 4\) is outside the 3x3 grid"):
+        droop(rothe((2, 1, 3)), (1, 2), (4, 4))
+    with pytest.raises(ValueError, match=r"box \(0, 3\) is outside the 3x3 grid"):
+        reverse_droop(rothe((2, 1, 3)), (0, 3))
+    with pytest.raises(ValueError, match=r"box \(7, 1\) is outside the 6x6 grid"):
+        pivots(W231654, (7, 1))
+    with pytest.raises(ValueError, match=r"box \(-1, 4\) is outside the 6x6 grid"):
+        pivots(W231654, (-1, 4))
 
 
 def test_pivots():

@@ -180,6 +180,19 @@ def test_little_map_known_values():
     assert little_map(Word((5, 4, 1, 2, 5), 6), 5, 4).letters == (5, 3, 1, 2, 4)
 
 
+def test_little_map_rejects_bad_input():
+    # The letters are evaluated first, then reducedness, then k, then the
+    # deletion that the bump needs.
+    with pytest.raises(ValueError, match="letter 5 out of range for ambient size 3"):
+        little_map(Word((1, 1, 5), 3), 7, 1)
+    with pytest.raises(ValueError, match=r"word is not reduced: \(1, 1\)"):
+        little_map(Word((1, 1), 3), 7, 1)
+    with pytest.raises(ValueError, match="index k=0 out of range for ambient size 3"):
+        little_map(Word((1, 2, 1), 3), 0, 1)
+    with pytest.raises(ValueError, match="deleting letter 2 does not leave a reduced word"):
+        little_map(Word((1, 2, 1), 3), 3, 3)
+
+
 def test_little_map_chain():
     # Transition chain from a reduced word of 231654 down to a word whose
     # permutation has weakly decreasing Lehmer code.
