@@ -137,7 +137,12 @@ def backward_walk(p: BumplessPipedream) -> list[Step]:
     _, recording = eg_insert(reverse(tau).letters)
     steps = [Step(None, tau, leaf, p)]
     for box, dream in zip(boxes, dreams[1:]):
-        tau = little_map_inverse(tau, *box)
+        try:
+            tau = little_map_inverse(tau, *box)
+        except ValueError as exc:
+            # The chain stays in the image by construction: a fault here
+            # is the program's, not the input's.
+            raise AssertionError(f"inverse Little map failed at {box}: {exc}") from exc
         _check_chain_step(tau, recording)
         steps.append(Step(box, tau, evaluate(tau), dream))
     assert steps[-1].perm == w, "inverse chain missed the traced permutation"

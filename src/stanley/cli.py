@@ -164,11 +164,7 @@ def cmd_verify(args) -> int:
     for m in methods:
         print(f"{m + ':':<12} {format_coeffs(results[m])}")
 
-    terms: dict = {}
-    for p in dreams:
-        for key, c in weight(p).terms.items():
-            terms[key] = terms.get(key, 0) + c
-    total = SparsePoly(terms)
+    total = SparsePoly.sum(map(weight, dreams))
     weights_ok = (
         total == double_schubert(w)
         and total.substitute_y_zero() == schubert_bjs(w)

@@ -94,26 +94,6 @@ def descents(w: Perm) -> list[int]:
     return [i for i in range(1, len(w)) if w[i - 1] > w[i]]
 
 
-def contains_pattern(w: Perm, pattern: Perm) -> bool:
-    """
-    Whether some subsequence of w is order-isomorphic to pattern.
-
-    Brute force over subsequences; permutations here are small.
-
-    >>> contains_pattern((2, 4, 3, 1), (1, 3, 2))
-    True
-    >>> contains_pattern((3, 4, 2, 1), (1, 3, 2))
-    False
-    """
-    k = len(pattern)
-    rank = tuple(sorted(range(k), key=lambda i: pattern[i]))
-    for positions in combinations(range(len(w)), k):
-        values = [w[p] for p in positions]
-        if sorted(range(k), key=lambda i: values[i]) == list(rank):
-            return True
-    return False
-
-
 def is_dominant(w: Perm) -> bool:
     """
     132-avoiding, read off the equivalent condition: a weakly decreasing
@@ -126,31 +106,9 @@ def is_dominant(w: Perm) -> bool:
     return all(a >= b for a, b in zip(code, code[1:]))
 
 
-def is_vexillary(w: Perm) -> bool:
-    """2143-avoiding."""
-    return not contains_pattern(w, (2, 1, 4, 3))
-
-
 def is_grassmannian(w: Perm) -> bool:
     """At most one descent."""
     return len(descents(w)) <= 1
-
-
-def grassmannian_shape(w: Perm) -> tuple[int, ...]:
-    """
-    The partition of a Grassmannian permutation: with descent at d,
-    λ_i = w_{d+1-i} - (d+1-i).
-
-    >>> grassmannian_shape((3, 5, 1, 2, 4, 6))
-    (3, 2)
-    """
-    ds = descents(w)
-    if not ds:
-        return ()
-    if len(ds) > 1:
-        raise ValueError(f"{w} is not Grassmannian")
-    d = ds[0]
-    return tuple(w[i - 1] - i for i in range(d, 0, -1) if w[i - 1] > i)
 
 
 def apply_transposition(w: Perm, i: int, j: int) -> Perm:
@@ -224,20 +182,6 @@ def inverse(w: Perm) -> Perm:
     for i, v in enumerate(w):
         inv[v - 1] = i + 1
     return tuple(inv)
-
-
-def complement(w: Perm) -> Perm:
-    """
-    The reverse-complement v with v_i = n+1 - w_{n+1-i}; an involution
-    preserving length (conjugation by the longest element).
-
-    >>> complement((1, 2, 3))
-    (1, 2, 3)
-    >>> complement((2, 4, 1, 6, 3, 5))
-    (2, 4, 1, 6, 3, 5)
-    """
-    n = len(w)
-    return tuple(n + 1 - w[n - i] for i in range(1, n + 1))
 
 
 def reduced_words(w: Perm) -> list[tuple[int, ...]]:

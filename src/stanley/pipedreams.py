@@ -70,12 +70,6 @@ class BumplessPipedream:
     def tile(self, i: int, j: int) -> str:
         return self.rows[i - 1][j - 1]
 
-    def replace(self, changes: dict[Box, str]) -> "BumplessPipedream":
-        grid = [list(row) for row in self.rows]
-        for (i, j), t in changes.items():
-            grid[i - 1][j - 1] = t
-        return BumplessPipedream(self.n, tuple("".join(row) for row in grid))
-
     @cached_property
     def _traced(self) -> Perm:
         """The permutation validate traces, kept once it is found."""

@@ -22,7 +22,9 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from functools import lru_cache
-from typing import Mapping
+from itertools import combinations, combinations_with_replacement, permutations, starmap
+from math import prod
+from typing import Iterable, Mapping
 
 from .permutations import (
     Perm,
@@ -96,6 +98,19 @@ class SparsePoly:
         return out
 
     @staticmethod
+    def sum(polys: Iterable[SparsePoly]) -> SparsePoly:
+        """The sum of polys, added into one dict that starts as a copy of
+        the first nonzero one's terms."""
+        out: dict[TermKey, int] = {}
+        for p in polys:
+            if not out:
+                out = dict(p.terms)
+                continue
+            for key, c in p.terms.items():
+                out[key] = out.get(key, 0) + c
+        return SparsePoly._of(out)
+
+    @staticmethod
     def zero() -> SparsePoly:
         return SparsePoly()
 
@@ -131,10 +146,7 @@ class SparsePoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: SparsePoly) -> SparsePoly:
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return SparsePoly._of(out)
+        return SparsePoly.sum((self, other))
 
     def __neg__(self) -> SparsePoly:
         return SparsePoly._of({key: -c for key, c in self.terms.items()})
@@ -382,9 +394,10 @@ def _double_schubert(w: Perm, memo: dict[Perm, SparsePoly]) -> SparsePoly:
     if not descents(w):
         return SparsePoly.constant(1)
     r, s, v, pivots = last_descent_step(w)
-    out = _double_schubert(v, memo)._times_root(r, w[s - 1])
-    for i in pivots:
-        out = out + _double_schubert(apply_transposition(v, i, r), memo)
+    out = SparsePoly.sum([
+        _double_schubert(v, memo)._times_root(r, w[s - 1]),
+        *(_double_schubert(apply_transposition(v, i, r), memo) for i in pivots),
+    ])
     memo[w] = out
     return out
 
@@ -434,12 +447,32 @@ def schur_poly(lam: tuple[int, ...], m: int) -> SparsePoly:
 def schur_expand(f: SparsePoly, m: int) -> dict[tuple[int, ...], int]:
     """
     Expand a symmetric polynomial in x_1..x_m as integers on Schur
-    polynomials, peeling the lexicographically leading monomial.  The
-    reconstruction is asserted before returning.
+    polynomials, read off the alternant (Macdonald, Symmetric Functions
+    and Hall Polynomials, I.3): with delta = (m-1, ..., 1, 0),
+
+        c_lam = [x^(lam+delta)] a_delta f = sum over sigma in S_m of
+                sgn(sigma) f_(lam + delta - sigma(delta)).
+
+    The candidates lam are the weakly decreasing m-tuples with entries at
+    most the largest exponent of f and a sum that is a degree of f, in
+    lexicographically descending order.  That set is complete: no Schur
+    polynomial has a monomial above x^lam for its own lam, so the
+    lexicographically largest lam with c_lam != 0 keeps its monomial
+    x^lam in f, and every first part is at most the largest exponent.
+    Scanning only the partitions in the support of f would not be
+    complete: s_2 - s_11 in two variables is x1^2 + x2^2.  The principal
+    specialization is asserted before returning: f(1, ..., 1) = sum of
+    c_lam s_lam(1^m), where s_lam(1^m) = V(lam+delta) / V(delta) and
+    V(l) = prod over i < j of l_i - l_j (Weyl's dimension formula),
+    multiplied through by V(delta) so that nothing is divided.
 
     Raises ValueError when f mixes in y variables, uses a variable past
-    x_m, is not symmetric in x_1..x_m, or peels to a negative coefficient
-    (not Schur-positive, or m too small for the degree).
+    x_m, is not symmetric in x_1..x_m, or has a negative Schur
+    coefficient, naming the first candidate that has one (not
+    Schur-positive, or m too small for the degree).
+
+    >>> schur_expand(schur_poly((2, 1), 3) + 2 * schur_poly((3,), 3), 3)
+    {(3,): 2, (2, 1): 1}
     """
     if f.has_y():
         raise ValueError("cannot Schur-expand a polynomial with y variables")
@@ -447,29 +480,36 @@ def schur_expand(f: SparsePoly, m: int) -> dict[tuple[int, ...], int]:
         raise ValueError(f"a term uses a variable past x{m}")
     if not f.is_symmetric_x(m):
         raise ValueError(f"not symmetric in x1..x{m}")
+    exps = {xe + (0,) * (m - len(xe)): c for (xe, _), c in f.terms.items()}
+    degrees = {sum(xe) for xe in exps}
+    # f is symmetric, so its largest exponent is also its largest in x_1.
+    top = max((max(xe, default=0) for xe in exps), default=0)
+    delta = tuple(range(m - 1, -1, -1))
+    shifts = [
+        ((-1) ** length(sigma), tuple(delta[s] for s in sigma))
+        for sigma in permutations(range(m))
+    ]
     coeffs: dict[tuple[int, ...], int] = {}
-    rest = f
-    while rest:
-        lead = max(
-            (xe + (0,) * (m - len(xe)) for xe, _ in rest.terms), default=None
+    specialized = 0
+    for lam in combinations_with_replacement(range(top, -1, -1), m):
+        if sum(lam) not in degrees:
+            continue
+        top_exps = tuple(map(operator.add, lam, delta))
+        c = sum(
+            sign * exps.get(tuple(map(operator.sub, top_exps, shift)), 0)
+            for sign, shift in shifts
         )
-        lam = _trim(lead)
-        assert all(a >= b for a, b in zip(lam, lam[1:])), (
-            f"leading exponent {lam} of a symmetric polynomial "
-            "must be a partition"
-        )
-        c = rest.coefficient(lam)
         if c < 0:
             raise ValueError(
-                f"negative leftover {c} at {lam}: input is not "
+                f"negative leftover {c} at {_trim(lam)}: input is not "
                 "Schur-positive or the variable window is too small"
             )
-        coeffs[lam] = c
-        rest = rest - c * schur_poly(lam, m)
-    total = SparsePoly.zero()
-    for lam, c in coeffs.items():
-        total += c * schur_poly(lam, m)
-    assert total == f, "Schur reconstruction failed"
+        if c:
+            coeffs[_trim(lam)] = c
+            specialized += c * prod(starmap(operator.sub, combinations(top_exps, 2)))
+    assert specialized == sum(exps.values()) * prod(
+        starmap(operator.sub, combinations(delta, 2))
+    ), "Schur expansion fails the principal specialization"
     return coeffs
 
 

@@ -36,10 +36,6 @@ def shape(t: Tableau) -> tuple[int, ...]:
     return tuple(len(row) for row in t)
 
 
-def size(t: Tableau) -> int:
-    return sum(len(row) for row in t)
-
-
 def is_partition_shape(t: Tableau) -> bool:
     lengths = shape(t)
     return all(a >= b for a, b in zip(lengths, lengths[1:])) and (
@@ -143,13 +139,6 @@ def eg_insert(letters: Iterable[int]) -> tuple[Tableau, Tableau]:
 
 def insertion_tableau(letters: Iterable[int]) -> Tableau:
     return eg_insert(letters)[0]
-
-
-def is_standard(q: Tableau) -> bool:
-    """Entries 1..size, strictly increasing along rows and down columns."""
-    return is_increasing(q) and sorted(
-        x for row in q for x in row
-    ) == list(range(1, size(q) + 1))
 
 
 def is_reduced_word_tableau(t: Tableau, w: Perm) -> bool:

@@ -212,12 +212,19 @@ def little_map_inverse(a: Word, k: int, v: int) -> Word:
 
         theta_{k,v}^{-1}(a) = (theta_{n+1-k, n+1-v}(a^c))^c
 
+    Raises ValueError when the conjugated bump grows the ambient size: no
+    word in ambient size n maps to a.
+
     >>> little_map_inverse(Word((3, 2, 1, 2, 3), 6), 2, 4).letters
     (4, 3, 1, 2, 3)
     """
-    out = complement_word(little_map(complement_word(a), a.n + 1 - k, a.n + 1 - v))
-    assert out.n == a.n, "the inverse never needs to grow the ambient size"
-    return out
+    out = little_map(complement_word(a), a.n + 1 - k, a.n + 1 - v)
+    if out.n != a.n:
+        raise ValueError(
+            f"{format_word(a.letters)} is not in the image of theta_{{{k},{v}}} "
+            f"in ambient size {a.n}"
+        )
+    return complement_word(out)
 
 
 def parse_word(text: str) -> tuple[int, ...]:

@@ -20,9 +20,17 @@ BumplessPipedream.tile: every kind first, then each box's edges against
 its neighbours and the boundary in row-major order, then a walk of each
 pipe from the south boundary to its east exit.  The droop and the reverse
 droop are checked and carried out the same way, one tile at a time.
+
+The peel expands a symmetric polynomial on Schur polynomials by
+subtracting c s_lam for its leading monomial c x^lam until nothing is
+left, then rebuilds the polynomial from every s_lam.
+
+The pattern tests (containment, vexillary, the Grassmannian shape), the
+reverse-complement and the tile replacement are used by the tests alone.
 """
 
 from collections import Counter
+from itertools import combinations
 
 from stanley.permutations import (
     descents,
@@ -31,9 +39,108 @@ from stanley.permutations import (
     multiply_simple,
     reduced_words,
 )
-from stanley.pipedreams import _DROOP, _LIFT, EDGES, KIND_NAMES
-from stanley.polynomials import SparsePoly, divided_difference
+from stanley.pipedreams import _DROOP, _LIFT, EDGES, KIND_NAMES, BumplessPipedream
+from stanley.polynomials import SparsePoly, _trim, divided_difference, schur_poly
 from stanley.words import bump_at, delete_letter, is_reduced
+
+
+def contains_pattern(w, pattern):
+    """
+    Whether some subsequence of w is order-isomorphic to pattern, by brute
+    force over subsequences.
+
+    >>> contains_pattern((2, 4, 3, 1), (1, 3, 2))
+    True
+    >>> contains_pattern((3, 4, 2, 1), (1, 3, 2))
+    False
+    """
+    k = len(pattern)
+    rank = tuple(sorted(range(k), key=lambda i: pattern[i]))
+    for positions in combinations(range(len(w)), k):
+        values = [w[p] for p in positions]
+        if sorted(range(k), key=lambda i: values[i]) == list(rank):
+            return True
+    return False
+
+
+def is_vexillary(w):
+    """2143-avoiding."""
+    return not contains_pattern(w, (2, 1, 4, 3))
+
+
+def grassmannian_shape(w):
+    """
+    The partition of a Grassmannian permutation: with descent at d,
+    λ_i = w_{d+1-i} - (d+1-i).
+
+    >>> grassmannian_shape((3, 5, 1, 2, 4, 6))
+    (3, 2)
+    """
+    ds = descents(w)
+    if not ds:
+        return ()
+    if len(ds) > 1:
+        raise ValueError(f"{w} is not Grassmannian")
+    d = ds[0]
+    return tuple(w[i - 1] - i for i in range(d, 0, -1) if w[i - 1] > i)
+
+
+def complement(w):
+    """
+    The reverse-complement v with v_i = n+1 - w_{n+1-i}; an involution
+    preserving length (conjugation by the longest element).
+
+    >>> complement((1, 2, 3))
+    (1, 2, 3)
+    >>> complement((2, 4, 1, 6, 3, 5))
+    (2, 4, 1, 6, 3, 5)
+    """
+    n = len(w)
+    return tuple(n + 1 - w[n - i] for i in range(1, n + 1))
+
+
+def schur_expand_by_peel(f, m):
+    """
+    polynomials.schur_expand by peeling the lexicographically leading
+    monomial: its input checks and errors, then c = the coefficient of
+    x^lam, raising on a negative one, and f minus c s_lam, until nothing
+    is left.  The reconstruction from every s_lam is asserted.
+    """
+    if f.has_y():
+        raise ValueError("cannot Schur-expand a polynomial with y variables")
+    if any(len(xe) > m for xe, _ in f.terms):
+        raise ValueError(f"a term uses a variable past x{m}")
+    if not f.is_symmetric_x(m):
+        raise ValueError(f"not symmetric in x1..x{m}")
+    coeffs = {}
+    rest = f
+    while rest:
+        lam = _trim(max(xe + (0,) * (m - len(xe)) for xe, _ in rest.terms))
+        assert all(a >= b for a, b in zip(lam, lam[1:])), (
+            f"leading exponent {lam} of a symmetric polynomial "
+            "must be a partition"
+        )
+        c = rest.coefficient(lam)
+        if c < 0:
+            raise ValueError(
+                f"negative leftover {c} at {lam}: input is not "
+                "Schur-positive or the variable window is too small"
+            )
+        coeffs[lam] = c
+        rest = rest - c * schur_poly(lam, m)
+    total = SparsePoly.zero()
+    for lam, c in coeffs.items():
+        total += c * schur_poly(lam, m)
+    assert total == f, "Schur reconstruction failed"
+    return coeffs
+
+
+def replace_tiles(p, changes):
+    """p with the tile at each box of changes replaced."""
+    grid = [list(row) for row in p.rows]
+    for (i, j), t in changes.items():
+        grid[i - 1][j - 1] = t
+    return BumplessPipedream(p.n, tuple("".join(row) for row in grid))
 
 
 def staircase(n):
@@ -187,7 +294,7 @@ def reroute_by_tiles(p, northwest, southeast, maps, fault):
         if tile not in maps[role]:
             raise ValueError(f"{fault} {KIND_NAMES[tile]} at {box}")
         changes[box] = maps[role][tile]
-    return p.replace(changes)
+    return replace_tiles(p, changes)
 
 
 def droop_by_tiles(p, elbow, target):

@@ -9,6 +9,7 @@ import pytest
 
 from stanley.cli import main
 from stanley.pipedreams import is_eg, parse
+from stanley.words import little_map_inverse, word
 
 
 def run(capsys, *argv):
@@ -79,6 +80,31 @@ def test_little_inverse_needs_ambient(capsys):
     )
     assert status == 0
     assert out == "(4,3,1,2,3)\n"
+
+
+def test_little_inverse_outside_the_image_is_a_usage_error(capsys):
+    status, out, err = run(
+        capsys, "little", "(3,2,3,1,2,3)", "--k", "4", "--v", "2", "-n", "4", "--inverse"
+    )
+    assert (status, out) == (2, "")
+    assert err == "error: (3,2,3,1,2,3) is not in the image of theta_{4,2} in ambient size 4\n"
+
+
+def test_little_inverse_failing_inside_the_backward_walk_exits_3(capsys, monkeypatch):
+    # The backward walk only meets words in the image, so the same failure
+    # there is a fault of the program.
+    def outside_image(a, k, v):
+        return little_map_inverse(word((3, 2, 3, 1, 2, 3), 4), 4, 2)
+
+    monkeypatch.setattr("stanley.bijection.little_map_inverse", outside_image)
+    status, out, err = run(
+        capsys, "bijection", "backward", "...r--/.r-jr-/.|r-+-/r+jrjr/||rjr+/|||r++"
+    )
+    assert (status, out) == (3, "")
+    assert err == (
+        "internal error (a bug, please report): inverse Little map failed at "
+        "(2, 4): (3,2,3,1,2,3) is not in the image of theta_{4,2} in ambient size 4\n"
+    )
 
 
 def test_pipedreams_eg_only(capsys):

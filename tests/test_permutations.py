@@ -3,21 +3,18 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import complement, contains_pattern, grassmannian_shape, is_vexillary
 from stanley.permutations import (
     all_permutations,
     apply_transposition,
     code_partition,
-    complement,
-    contains_pattern,
     descents,
     embed_left,
     format_permutation,
-    grassmannian_shape,
     identity,
     inverse,
     is_dominant,
     is_grassmannian,
-    is_vexillary,
     lehmer_code,
     length,
     longest_element,

@@ -1,4 +1,5 @@
 import random
+import re
 import signal
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -8,20 +9,21 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     compatible_sum,
+    complement,
     count_reduced_words,
     double_staircase,
+    grassmannian_shape,
+    is_vexillary,
     schubert_by_staircase,
+    schur_expand_by_peel,
     staircase,
 )
 from stanley.permutations import (
     all_permutations,
     code_partition,
-    complement,
     embed_left,
-    grassmannian_shape,
     inverse,
     is_grassmannian,
-    is_vexillary,
     length,
     longest_element,
     reduced_words,
@@ -56,6 +58,7 @@ def test_arithmetic_basics():
     assert 3 * x(2) * y(1) == SparsePoly.monomial((0, 1), (1,), 3)
     assert SparsePoly.constant(5).degree() == 0
     assert SparsePoly.zero().degree() == -1
+    assert SparsePoly.sum([]) == SparsePoly.zero()
 
 
 def test_variables_need_a_positive_index():
@@ -89,7 +92,9 @@ two_alphabet_polys = st.dictionaries(
 
 @given(two_alphabet_polys, two_alphabet_polys, st.integers(min_value=-3, max_value=3))
 def test_arithmetic_keeps_keys_trimmed_and_coefficients_nonzero(f, g, k):
-    for r in (f + g, f - g, f * g, -f, f * k, k * f, f.substitute_y_zero()):
+    assert SparsePoly.sum((f, g, -f)) == f + g - f
+    sums = (f + g, f - g, SparsePoly.sum((f, g, -f)))
+    for r in (*sums, f * g, -f, f * k, k * f, f.substitute_y_zero()):
         for (xe, ye), c in r.terms.items():
             assert c != 0
             assert xe[-1:] != (0,) and ye[-1:] != (0,)
@@ -279,6 +284,56 @@ def test_schur_expand_rejects_variables_past_the_window():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_alternant_matches_the_peel_through_s6():
+    # The items and their order: both visit shapes lexicographically
+    # descending.
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            m = max(len(code_partition(w)), 1)
+            f = stanley_truncated(w, m)
+            assert list(schur_expand(f, m).items()) == list(
+                schur_expand_by_peel(f, m).items()
+            ), w
+
+
+partitions = st.lists(st.integers(min_value=1, max_value=3), max_size=4).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
+)
+
+
+def outcome(expand, f, m):
+    try:
+        return list(expand(f, m).items())
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.tuples(partitions, st.integers(min_value=-2, max_value=2)), max_size=4),
+)
+def test_alternant_matches_the_peel_on_signed_sums(m, combination):
+    # Signed and possibly inhomogeneous: the same expansion or the same
+    # first negative coefficient.
+    f = SparsePoly.sum(c * schur_poly(lam, m) for lam, c in combination)
+    assert outcome(schur_expand, f, m) == outcome(schur_expand_by_peel, f, m)
+
+
+def test_alternant_finds_a_shape_missing_from_the_support():
+    # s_2 - s_11 = x1^2 + x2^2 has no x1*x2 term, yet its s_11
+    # coefficient is -1.
+    f = schur_poly((2,), 2) - schur_poly((1, 1), 2)
+    assert f == x(1, 2) + x(2, 2)
+    with pytest.raises(ValueError, match=re.escape("negative leftover -1 at (1, 1)")):
+        schur_expand(f, 2)
+
+
+def test_monomial_route_of_a_vexillary_s8_element():
+    # The peel took seconds here for an answer that is one Schur function.
+    assert eg_coeffs((8, 4, 7, 6, 2, 5, 1, 3), "monomial") == {(7, 5, 4, 3, 2, 1): 1}
 
 
 def test_eg_coeffs_known_expansions():

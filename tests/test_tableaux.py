@@ -21,7 +21,6 @@ from stanley.tableaux import (
     insertion_tableau,
     is_increasing,
     is_reduced_word_tableau,
-    is_standard,
     parse_tableau,
     row_reading_word,
     shape,
@@ -35,6 +34,14 @@ def reduced(draw):
     w = tuple(draw(st.permutations(range(1, n + 1))))
     words = reduced_words(w)
     return words[draw(st.integers(0, len(words) - 1))]
+
+
+def is_standard(q):
+    """Entries 1..size, strictly increasing along rows and down columns."""
+    size = sum(len(row) for row in q)
+    return is_increasing(q) and sorted(
+        x for row in q for x in row
+    ) == list(range(1, size + 1))
 
 
 def hook_length_count(lam):

@@ -4,11 +4,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import grassmannian_shape
 from stanley.permutations import (
     all_permutations,
     apply_transposition,
     code_partition,
-    grassmannian_shape,
     identity,
     is_dominant,
     is_grassmannian,
