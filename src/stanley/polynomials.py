@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations, starmap
+from itertools import combinations, combinations_with_replacement, starmap
 from math import prod
 from typing import Iterable, Mapping
 
@@ -100,7 +100,8 @@ class SparsePoly:
     @staticmethod
     def sum(polys: Iterable[SparsePoly]) -> SparsePoly:
         """The sum of polys, added into one dict that starts as a copy of
-        the first nonzero one's terms."""
+        the first nonzero one's terms (a dict copy is faster than adding
+        them key by key)."""
         out: dict[TermKey, int] = {}
         for p in polys:
             if not out:
@@ -460,11 +461,17 @@ def schur_expand(f: SparsePoly, m: int) -> dict[tuple[int, ...], int]:
     lexicographically largest lam with c_lam != 0 keeps its monomial
     x^lam in f, and every first part is at most the largest exponent.
     Scanning only the partitions in the support of f would not be
-    complete: s_2 - s_11 in two variables is x1^2 + x2^2.  The principal
-    specialization is asserted before returning: f(1, ..., 1) = sum of
-    c_lam s_lam(1^m), where s_lam(1^m) = V(lam+delta) / V(delta) and
-    V(l) = prod over i < j of l_i - l_j (Weyl's dimension formula),
-    multiplied through by V(delta) so that nothing is divided.
+    complete: s_2 - s_11 in two variables is x1^2 + x2^2.
+
+    The sum over S_m is built one position of sigma at a time, keeping a
+    branch only while its exponents start an exponent of f, so a
+    candidate costs at most the number of such prefixes, not m!: for the
+    cycle (2, 3, ..., n, 1), f = x_1 ... x_(n-1) leaves the identity
+    alone.  The principal specialization is asserted before returning:
+    f(1, ..., 1) = sum of c_lam s_lam(1^m), where s_lam(1^m) =
+    V(lam+delta) / V(delta) and V(l) = prod over i < j of l_i - l_j
+    (Weyl's dimension formula), multiplied through by V(delta) so that
+    nothing is divided.
 
     Raises ValueError when f mixes in y variables, uses a variable past
     x_m, is not symmetric in x_1..x_m, or has a negative Schur
@@ -485,20 +492,28 @@ def schur_expand(f: SparsePoly, m: int) -> dict[tuple[int, ...], int]:
     # f is symmetric, so its largest exponent is also its largest in x_1.
     top = max((max(xe, default=0) for xe in exps), default=0)
     delta = tuple(range(m - 1, -1, -1))
-    shifts = [
-        ((-1) ** length(sigma), tuple(delta[s] for s in sigma))
-        for sigma in permutations(range(m))
-    ]
+    prefixes = {xe[:i] for xe in exps for i in range(m + 1)}
+
+    def alternant(e: Exponents, rest: Exponents) -> int:
+        # The signed sum over the sigma whose exponents start with e; the
+        # parts rest of delta descend, so taking the j-th makes j inversions.
+        if not rest:
+            return exps[e]
+        total = 0
+        for j, d in enumerate(rest):
+            e2 = (*e, top_exps[len(e)] - d)
+            if e2 in prefixes:
+                c = alternant(e2, rest[:j] + rest[j + 1 :])
+                total += -c if j & 1 else c
+        return total
+
     coeffs: dict[tuple[int, ...], int] = {}
     specialized = 0
     for lam in combinations_with_replacement(range(top, -1, -1), m):
         if sum(lam) not in degrees:
             continue
         top_exps = tuple(map(operator.add, lam, delta))
-        c = sum(
-            sign * exps.get(tuple(map(operator.sub, top_exps, shift)), 0)
-            for sign, shift in shifts
-        )
+        c = alternant((), delta)
         if c < 0:
             raise ValueError(
                 f"negative leftover {c} at {_trim(lam)}: input is not "
@@ -528,8 +543,9 @@ def eg_coeffs(w: Perm, method: str = "tableaux") -> dict[tuple[int, ...], int]:
     its cost grows with the elements below the inverse of w and their
     tableaux, not with the number of reduced words.
 
-    The "monomial" route truncates and peels in m = max(len(lam), 1)
-    variables, lam = code_partition(w): every Schur shape of F_w dominates
+    The "monomial" route truncates F_w to m = max(len(lam), 1) variables,
+    lam = code_partition(w), and reads the Schur coefficients off the
+    alternant (schur_expand): every Schur shape of F_w dominates
     lam (Stanley 1984; Edelman-Greene 1987), so it has at most len(lam)
     rows, and s_lam itself occurs.  A narrower window would drop shapes;
     the other three routes would then disagree with it.

@@ -45,15 +45,8 @@ from stanley.words import bump_at, delete_letter, is_reduced
 
 
 def contains_pattern(w, pattern):
-    """
-    Whether some subsequence of w is order-isomorphic to pattern, by brute
-    force over subsequences.
-
-    >>> contains_pattern((2, 4, 3, 1), (1, 3, 2))
-    True
-    >>> contains_pattern((3, 4, 2, 1), (1, 3, 2))
-    False
-    """
+    """Whether some subsequence of w is order-isomorphic to pattern, by
+    brute force over subsequences."""
     k = len(pattern)
     rank = tuple(sorted(range(k), key=lambda i: pattern[i]))
     for positions in combinations(range(len(w)), k):
@@ -69,13 +62,8 @@ def is_vexillary(w):
 
 
 def grassmannian_shape(w):
-    """
-    The partition of a Grassmannian permutation: with descent at d,
-    λ_i = w_{d+1-i} - (d+1-i).
-
-    >>> grassmannian_shape((3, 5, 1, 2, 4, 6))
-    (3, 2)
-    """
+    """The partition of a Grassmannian permutation: with descent at d,
+    λ_i = w_{d+1-i} - (d+1-i)."""
     ds = descents(w)
     if not ds:
         return ()
@@ -86,15 +74,8 @@ def grassmannian_shape(w):
 
 
 def complement(w):
-    """
-    The reverse-complement v with v_i = n+1 - w_{n+1-i}; an involution
-    preserving length (conjugation by the longest element).
-
-    >>> complement((1, 2, 3))
-    (1, 2, 3)
-    >>> complement((2, 4, 1, 6, 3, 5))
-    (2, 4, 1, 6, 3, 5)
-    """
+    """The reverse-complement v with v_i = n+1 - w_{n+1-i}; an involution
+    preserving length (conjugation by the longest element)."""
     n = len(w)
     return tuple(n + 1 - w[n - i] for i in range(1, n + 1))
 

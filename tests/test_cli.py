@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -289,6 +290,35 @@ def test_verify_long_s6_and_s7(capsys):
         "weight sum:  OK\n"
         "status: OK\n"
     )
+
+
+def test_verify_long_cycles(capsys):
+    # F_w of the cycle (2, 3, ..., n, 1) in its n - 1 variables is the one
+    # monomial x1*...*x(n-1).  Summing the alternant over all of S_(n-1)
+    # took 20 s and gigabytes from n = 11 on; the walk through the
+    # exponents of F_w keeps the identity alone.
+    def timeout(signum, frame):
+        raise TimeoutError("verify of the cycles did not finish within 3 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 3)
+    try:
+        for n in range(10, 14):
+            cycle = ",".join(map(str, [*range(2, n + 1), 1]))
+            status, out, _ = run(capsys, "verify", cycle)
+            assert status == 0
+            shape = "(" + ",".join("1" * (n - 1)) + "):1"
+            assert out == (
+                f"tableaux:    {shape}\n"
+                f"pipedreams:  {shape}\n"
+                f"mls_leaves:  {shape}\n"
+                f"monomial:    {shape}\n"
+                "weight sum:  OK\n"
+                "status: OK\n"
+            )
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_schubert_past_s7(capsys):
