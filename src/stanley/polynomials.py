@@ -213,7 +213,16 @@ class SparsePoly:
         return SparsePoly._of(out)
 
     def is_symmetric_x(self, m: int) -> bool:
-        return all(self.swap_x(i) == self for i in range(1, m))
+        """Whether swapping x_i and x_{i+1}, for any i < m, keeps every
+        coefficient, looked up term by term on x exponents padded to m."""
+        padded = {(xe + (0,) * (m - len(xe)), ye): c for (xe, ye), c in self.terms.items()}
+        for (e, ye), c in padded.items():
+            for i in range(1, m):
+                if e[i - 1] != e[i]:
+                    swapped = (*e[: i - 1], e[i], e[i - 1], *e[i + 1 :])
+                    if padded.get((swapped, ye)) != c:
+                        return False
+        return True
 
     def sorted_terms(self) -> list[tuple[TermKey, int]]:
         """Total degree descending, then exponent vectors descending."""
@@ -493,27 +502,24 @@ def schur_expand(f: SparsePoly, m: int) -> dict[tuple[int, ...], int]:
     top = max((max(xe, default=0) for xe in exps), default=0)
     delta = tuple(range(m - 1, -1, -1))
     prefixes = {xe[:i] for xe in exps for i in range(m + 1)}
-
-    def alternant(e: Exponents, rest: Exponents) -> int:
-        # The signed sum over the sigma whose exponents start with e; the
-        # parts rest of delta descend, so taking the j-th makes j inversions.
-        if not rest:
-            return exps[e]
-        total = 0
-        for j, d in enumerate(rest):
-            e2 = (*e, top_exps[len(e)] - d)
-            if e2 in prefixes:
-                c = alternant(e2, rest[:j] + rest[j + 1 :])
-                total += -c if j & 1 else c
-        return total
-
     coeffs: dict[tuple[int, ...], int] = {}
     specialized = 0
     for lam in combinations_with_replacement(range(top, -1, -1), m):
         if sum(lam) not in degrees:
             continue
         top_exps = tuple(map(operator.add, lam, delta))
-        c = alternant((), delta)
+        # Each entry is the exponents e taken so far, the parts of delta
+        # left and the sign; the parts left descend, so taking the j-th
+        # makes j inversions.
+        c, stack = 0, [((), delta, 1)]
+        while stack:
+            e, rest, sign = stack.pop()
+            if not rest:
+                c += sign * exps[e]
+            for j, d in enumerate(rest):
+                e2 = (*e, top_exps[len(e)] - d)
+                if e2 in prefixes:
+                    stack.append((e2, rest[:j] + rest[j + 1 :], -sign if j & 1 else sign))
         if c < 0:
             raise ValueError(
                 f"negative leftover {c} at {_trim(lam)}: input is not "

@@ -25,9 +25,10 @@ from .permutations import (
     descents,
     inverse,
     is_dominant,
+    length,
     multiply_simple,
 )
-from .words import Word, evaluate, is_reduced
+from .words import Word, evaluate
 
 Tableau = tuple[tuple[int, ...], ...]
 
@@ -145,18 +146,17 @@ def is_reduced_word_tableau(t: Tableau, w: Perm) -> bool:
     """
     Does t represent w?  Equivalent tests: the column reading word is a
     reduced word for w, or the row reading word is a reduced word for the
-    inverse of w.  Both are evaluated and checked against each other.
+    inverse of w.  Each is a word of length(w) letters evaluating to its
+    permutation; both are evaluated and checked against each other.
     """
     if not is_increasing(t):
         return False
     n = len(w)
     entries = [x for row in t for x in row]
-    if any(not 1 <= x < n for x in entries):
+    if any(not 1 <= x < n for x in entries) or len(entries) != length(w):
         return False
-    col = Word(column_reading_word(t), n)
-    row = Word(row_reading_word(t), n)
-    by_column = is_reduced(col) and evaluate(col) == w
-    by_row = is_reduced(row) and evaluate(row) == inverse(w)
+    by_column = evaluate(Word(column_reading_word(t), n)) == w
+    by_row = evaluate(Word(row_reading_word(t), n)) == inverse(w)
     assert by_column == by_row, (t, w)
     return by_column
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .permutations import Perm
+from .permutations import Perm, length
 
 
 class Word(NamedTuple):
@@ -55,45 +55,27 @@ def evaluate(a: Word) -> Perm:
 def is_reduced(a: Word) -> bool:
     """
     A word is reduced when no shorter word evaluates to the same thing,
-    that is when each letter swaps an ascent of the window it acts on, so
-    that every letter adds one to the length.  Checked in one pass over
-    the letters, each of which must be in range for a.n.
+    that is when it has as many letters as its permutation has inversions.
+    Every letter must be in range for a.n.
 
     >>> is_reduced(Word((1, 2, 1), 3)), is_reduced(Word((1, 2, 2), 3))
     (True, False)
     """
-    window = list(range(1, a.n + 1))
-    reduced = True
-    for t in a.letters:
-        if not 1 <= t < a.n:
-            raise ValueError(f"letter {t} out of range for ambient size {a.n}")
-        u, v = window[t - 1], window[t]
-        reduced = reduced and u < v
-        window[t - 1], window[t] = v, u
-    return reduced
+    return len(a.letters) == length(evaluate(a))
 
 
 def crossing_pairs(a: Word) -> list[tuple[int, int]]:
-    """The pair of values interchanged at each time, as (smaller, larger)."""
-    return _crossings(a)[1]
-
-
-def _crossings(a: Word) -> tuple[bool, list[tuple[int, int]]]:
-    """is_reduced(a) and crossing_pairs(a), from one pass over the letters."""
+    """The pair of values interchanged at each time, as (smaller, larger);
+    they are distinct exactly when the word is reduced."""
     window = list(range(1, a.n + 1))
-    reduced = True
     pairs = []
     for t in a.letters:
         if not 1 <= t < a.n:
             raise ValueError(f"letter {t} out of range for ambient size {a.n}")
         u, v = window[t - 1], window[t]
-        if u < v:
-            pairs.append((u, v))
-        else:
-            reduced = False
-            pairs.append((v, u))
+        pairs.append((u, v) if u < v else (v, u))
         window[t - 1], window[t] = v, u
-    return reduced, pairs
+    return pairs
 
 
 def crossing_time(a: Word, u: int, v: int) -> int:
@@ -156,8 +138,8 @@ def _bump(a: Word, t1: int) -> Word:
     guard = 10 * (a.n + len(a.letters)) ** 2
     b, t = bump_at(a, t1), t1
     for _ in range(guard):
-        reduced, pairs = _crossings(b)
-        if reduced:
+        pairs = crossing_pairs(b)
+        if len(set(pairs)) == len(pairs):
             return b
         others = [
             s for s, pair in enumerate(pairs, start=1) if s != t and pair == pairs[t - 1]
@@ -181,13 +163,20 @@ def little_map(a: Word, k: int, v: int) -> Word:
     >>> little_map(Word((5, 3, 1, 2, 4), 6), 4, 5).letters
     (4, 3, 1, 2, 4)
     """
+    return _bump(a, _start_time(a, k, v))
+
+
+def _start_time(a: Word, k: int, v: int) -> int:
+    """Check the letters of a, its reducedness, k and v, in that order, and
+    return the time at which the lines carrying w_k and v cross in a."""
     w = evaluate(a)
-    if not is_reduced(a):
+    if len(a.letters) != length(w):
         raise ValueError(f"word is not reduced: {a.letters}")
     if not 1 <= k <= a.n:
         raise ValueError(f"index k={k} out of range for ambient size {a.n}")
-    t1 = crossing_time(a, w[k - 1], v)
-    return _bump(a, t1)
+    if not 1 <= v <= a.n:
+        raise ValueError(f"value v={v} out of range for ambient size {a.n}")
+    return crossing_time(a, w[k - 1], v)
 
 
 def reverse(a: Word) -> Word:
@@ -212,13 +201,16 @@ def little_map_inverse(a: Word, k: int, v: int) -> Word:
 
         theta_{k,v}^{-1}(a) = (theta_{n+1-k, n+1-v}(a^c))^c
 
-    Raises ValueError when the conjugated bump grows the ambient size: no
-    word in ambient size n maps to a.
+    Complementing relabels each line i as n + 1 - i, so the bump of a^c
+    starts where the lines carrying w_k and v cross in a, found and checked
+    on a itself as in little_map.  Raises ValueError when the conjugated
+    bump grows the ambient size: no word in ambient size n maps to a.
 
     >>> little_map_inverse(Word((3, 2, 1, 2, 3), 6), 2, 4).letters
     (4, 3, 1, 2, 3)
     """
-    out = little_map(complement_word(a), a.n + 1 - k, a.n + 1 - v)
+    t1 = _start_time(a, k, v)
+    out = _bump(complement_word(a), t1)
     if out.n != a.n:
         raise ValueError(
             f"{format_word(a.letters)} is not in the image of theta_{{{k},{v}}} "

@@ -8,6 +8,9 @@ polynomial of the longest element.  That top polynomial is x^delta for
 the single form and the product of (x_i - y_j) over i + j <= n for the
 double form.
 
+The ascent test calls a word reduced when each letter swaps an ascent of
+the window it acts on, so that every letter adds one to the length.
+
 The deletion route finds each next letter of a Little bump as the one
 other position whose deletion leaves the bumped word reduced.
 
@@ -335,6 +338,20 @@ def reverse_droop_by_tiles(p, nw):
     assert traced == validate_by_tiles(p), "reverse droop changed the traced permutation"
     assert droop_by_tiles(out, (x, y), (m, jm)) == p, "reverse droop is not a droop inverse"
     return out
+
+
+def is_reduced_by_ascents(a):
+    """Whether every letter of a swaps an ascent of the window it acts on,
+    checked one letter at a time; every letter must be in range for a.n."""
+    window = list(range(1, a.n + 1))
+    reduced = True
+    for t in a.letters:
+        if not 1 <= t < a.n:
+            raise ValueError(f"letter {t} out of range for ambient size {a.n}")
+        u, v = window[t - 1], window[t]
+        reduced = reduced and u < v
+        window[t - 1], window[t] = v, u
+    return reduced
 
 
 def little_bump_by_deletion(a, t1):

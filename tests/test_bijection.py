@@ -115,6 +115,22 @@ def test_roundtrip_s5_sample():
         _roundtrip(w)
 
 
+def test_theorem_on_all_of_s6():
+    # For every w in S6, gamma maps the reduced word tableaux of w one to
+    # one onto its EG-pipedreams, keeping the shape, and gamma_inverse
+    # undoes it.
+    tableaux = 0
+    for w in all_permutations(6):
+        tabs = enumerate_reduced_word_tableaux(w)
+        egs = {p for p in enumerate_all(w) if is_eg(p) is not None}
+        images = [gamma(t, w) for t in tabs]
+        assert len(set(images)) == len(tabs) and set(images) == egs, w
+        for t, p in zip(tabs, images):
+            assert is_eg(p) == shape(t) and gamma_inverse(p) == t, (w, t)
+        tableaux += len(tabs)
+    assert tableaux == 1007
+
+
 def test_roundtrip_231654():
     _roundtrip(W231654)
 

@@ -91,6 +91,22 @@ def test_little_inverse_outside_the_image_is_a_usage_error(capsys):
     assert err == "error: (3,2,3,1,2,3) is not in the image of theta_{4,2} in ambient size 4\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("(1,2) --k 5 --v 1 --inverse", "index k=5 out of range for ambient size 3"),
+        ("(1,1,2) --k 1 --v 2 --inverse", "word is not reduced: (1, 1, 2)"),
+        ("(1,2) --k 2 --v 9 --inverse", "value v=9 out of range for ambient size 3"),
+        ("(1,2,1) --k 1 --v 0", "value v=0 out of range for ambient size 3"),
+    ],
+)
+def test_little_errors_name_the_callers_input(capsys, argv, message):
+    # The inverse map checks its own word, k and v before conjugating by
+    # the complement, so no message names the conjugated input.
+    status, out, err = run(capsys, "little", *argv.split(), "-n", "3")
+    assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_little_inverse_failing_inside_the_backward_walk_exits_3(capsys, monkeypatch):
     # The backward walk only meets words in the image, so the same failure
     # there is a fault of the program.

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import signal
@@ -254,10 +255,42 @@ def test_schur_poly_symmetric():
     assert schur_poly((3, 1), 4).is_symmetric_x(4)
 
 
+def orbit_sum(f, m):
+    """The sum of the distinct polynomials reached from f by swapping
+    x_i and x_{i+1}, i < m: symmetric in x_1..x_m."""
+    orbit, todo = {f}, [f]
+    while todo:
+        g = todo.pop()
+        for i in range(1, m):
+            if (h := g.swap_x(i)) not in orbit:
+                orbit.add(h)
+                todo.append(h)
+    return SparsePoly.sum(orbit)
+
+
+@given(two_alphabet_polys, two_alphabet_polys, st.integers(min_value=1, max_value=4))
+def test_is_symmetric_x_matches_the_swaps(f, g, m):
+    for h in (f, orbit_sum(f, m), orbit_sum(f, m) + g):
+        assert h.is_symmetric_x(m) == all(h.swap_x(i) == h for i in range(1, m))
+
+
 def test_schur_expand_round_trip():
     assert schur_expand(schur_poly((2, 1), 3), 3) == {(2, 1): 1}
     f = 2 * schur_poly((2, 2), 4) + schur_poly((3, 1), 4)
     assert schur_expand(f, 4) == {(3, 1): 1, (2, 2): 2}
+
+
+def test_schur_expand_leaves_no_cycles():
+    # Everything schur_expand builds is freed by reference counting when
+    # it returns, without waiting for the cycle collector.
+    f = stanley_truncated(longest_element(6), 5)
+    gc.disable()
+    try:
+        gc.collect()
+        schur_expand(f, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_schur_expand_rejects_bad_input():

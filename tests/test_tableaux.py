@@ -220,6 +220,9 @@ def test_is_reduced_word_tableau():
     assert not is_reduced_word_tableau(t, (2, 3, 1, 6, 4, 5))
     assert not is_reduced_word_tableau(((1, 1),), (2, 1, 3))
     assert not is_reduced_word_tableau(((5,),), (2, 1, 3))
+    # Both reading words are (3, 1, 3), which evaluates to 2134 without
+    # being reduced.
+    assert not is_reduced_word_tableau(((1, 3), (3,)), (2, 1, 3, 4))
 
 
 @settings(deadline=None)

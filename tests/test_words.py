@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import little_bump_by_deletion
-from stanley.permutations import all_permutations, length, reduced_words
+from oracles import is_reduced_by_ascents, little_bump_by_deletion
+from stanley.permutations import all_permutations, reduced_words
 from stanley.words import (
     Word,
     bump_at,
@@ -61,12 +61,19 @@ def test_is_reduced():
     assert not is_reduced(Word((3, 1, 3, 4, 2), 6))
 
 
+def pairs_are_distinct(a):
+    """The reading of reducedness that _bump uses: no two lines cross twice."""
+    pairs = crossing_pairs(a)
+    return len(set(pairs)) == len(pairs)
+
+
 def test_is_reduced_matches_length():
+    # Every word of at most 6 letters in ambient sizes 1 to 5.
     for n in range(1, 6):
         for size in range(7):
             for letters in product(range(1, n), repeat=size):
                 a = Word(letters, n)
-                assert is_reduced(a) == (length(evaluate(a)) == len(a.letters))
+                assert is_reduced(a) == is_reduced_by_ascents(a) == pairs_are_distinct(a)
 
 
 @given(
@@ -77,13 +84,18 @@ def test_is_reduced_matches_length():
     )
 )
 def test_is_reduced_matches_length_random(a):
-    assert is_reduced(a) == (length(evaluate(a)) == len(a.letters))
+    assert is_reduced(a) == is_reduced_by_ascents(a) == pairs_are_distinct(a)
 
 
 def test_is_reduced_checks_every_letter():
-    # (1, 1) is not reduced, and the 5 after it is still out of range.
-    with pytest.raises(ValueError, match="out of range"):
-        is_reduced(Word((1, 1, 5), 3))
+    # (1, 1) is not reduced, and the 5 after it is still out of range; the
+    # first letter out of range is the one named.
+    for letters, bad in (((1, 1, 5), 5), ((0, 7), 0), ((2, 3, 1), 3)):
+        for check in (is_reduced, is_reduced_by_ascents):
+            with pytest.raises(
+                ValueError, match=f"^letter {bad} out of range for ambient size 3$"
+            ):
+                check(Word(letters, 3))
 
 
 def test_crossing_pairs():
@@ -181,16 +193,21 @@ def test_little_map_known_values():
 
 
 def test_little_map_rejects_bad_input():
-    # The letters are evaluated first, then reducedness, then k, then the
-    # deletion that the bump needs.
-    with pytest.raises(ValueError, match="letter 5 out of range for ambient size 3"):
-        little_map(Word((1, 1, 5), 3), 7, 1)
-    with pytest.raises(ValueError, match=r"word is not reduced: \(1, 1\)"):
-        little_map(Word((1, 1), 3), 7, 1)
-    with pytest.raises(ValueError, match="index k=0 out of range for ambient size 3"):
-        little_map(Word((1, 2, 1), 3), 0, 1)
-    with pytest.raises(ValueError, match="deleting letter 2 does not leave a reduced word"):
-        little_map(Word((1, 2, 1), 3), 3, 3)
+    # The letters are evaluated first, then reducedness, then k, then v,
+    # then the deletion that the bump needs, all on the caller's word.
+    for theta in (little_map, little_map_inverse):
+        with pytest.raises(ValueError, match="letter 5 out of range for ambient size 3"):
+            theta(Word((1, 1, 5), 3), 7, 9)
+        with pytest.raises(ValueError, match=r"word is not reduced: \(1, 1\)"):
+            theta(Word((1, 1), 3), 7, 9)
+        with pytest.raises(ValueError, match="index k=0 out of range for ambient size 3"):
+            theta(Word((1, 2, 1), 3), 0, 9)
+        with pytest.raises(ValueError, match="value v=4 out of range for ambient size 3"):
+            theta(Word((1, 2, 1), 3), 1, 4)
+        with pytest.raises(
+            ValueError, match="deleting letter 2 does not leave a reduced word"
+        ):
+            theta(Word((1, 2, 1), 3), 3, 3)
 
 
 def test_little_map_chain():
