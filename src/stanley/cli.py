@@ -18,17 +18,17 @@ import json
 import sys
 
 from .bijection import Step, backward_walk, forward_walk, tableau_of_walk
-from .permutations import format_permutation, parse_permutation
+from .permutations import format_permutation, length, parse_permutation
 from .pipedreams import (
     eg_shape_counts,
     enumerate_all,
     is_eg,
     parse as parse_pipedream,
     render,
-    weight,
 )
 from .polynomials import (
-    SparsePoly,
+    _double_schubert,
+    _PackedRoots,
     double_schubert,
     eg_coeffs,
     schubert_bjs,
@@ -164,11 +164,13 @@ def cmd_verify(args) -> int:
     for m in methods:
         print(f"{m + ':':<12} {format_coeffs(results[m])}")
 
-    total = SparsePoly.sum(map(weight, dreams))
-    weights_ok = (
-        total == double_schubert(w)
-        and total.substitute_y_zero() == schubert_bjs(w)
-    )
+    # Both sides stay packed: unpacking them costs as much as building them.
+    # The transition goes first, so that its memo is freed before the
+    # weight sum is built.
+    roots = _PackedRoots(len(w) - 1, length(w))
+    transition = _double_schubert(w, roots, {})
+    total = roots.sum(roots.product(p.empty_boxes()) for p in dreams)
+    weights_ok = total == transition and roots.y_free(total) == schubert_bjs(w)
     print(f"weight sum:  {'OK' if weights_ok else 'FAIL'}")
     ok = agree and weights_ok
     print(f"status: {'OK' if ok else 'FAIL'}")

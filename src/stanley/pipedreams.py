@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterable, NoReturn
 
 from .permutations import Perm, apply_transposition, inverse, length, up_pivots
-from .polynomials import SparsePoly
+from .polynomials import SparsePoly, _PackedRoots
 
 Box = tuple[int, int]
 
@@ -419,12 +419,11 @@ def _max_pivot_box(w: Perm) -> tuple[int, int, list[int]]:
 
 
 def weight(p: BumplessPipedream) -> SparsePoly:
-    """The product of x_i - y_j over the empty boxes (i, j), one root
-    factor multiplied in at a time."""
-    out = SparsePoly.constant(1)
-    for i, j in p.empty_boxes():
-        out = out._times_root(i, j)
-    return out
+    """The product of x_i - y_j over the empty boxes (i, j), multiplied in
+    packed form one root factor at a time and unpacked once."""
+    boxes = p.empty_boxes()
+    roots = _PackedRoots(p.n - 1, len(boxes))
+    return roots.unpack(roots.product(boxes))
 
 
 def is_eg(p: BumplessPipedream) -> tuple[int, ...] | None:

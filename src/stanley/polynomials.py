@@ -11,6 +11,18 @@ descent, one root factor x_r - y_j at a time.
 All coefficients are exact integers.  A term maps a pair of exponent
 vectors (one for x, one for y, trailing zeros dropped) to its coefficient.
 
+Products of root factors x_i - y_j, 1 <= i, j <= n, are built with every
+monomial packed into one int (_PackedRoots; Monagan and Pearce, 2007,
+Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors).  From the least significant end the int holds a field for each
+of x_1..x_n, then y_1..y_n, then the total degree, all of the same width:
+the least number of bits b with 2^b > bound, for a stated bound on the
+total degree.  No field can exceed the total degree, so none carries into
+the next, and the kernel raises ValueError rather than multiply a term of
+degree bound by one more factor.  Every term of S_w(x;y), and of the
+weight of each bumpless pipedream of w, has degree length(w) and, for w
+in S_n, no variable past x_(n-1) and y_(n-1).
+
 >>> print(schubert_bjs((3, 2, 1)))
 x1^2*x2
 >>> print(double_schubert((2, 1, 3)))
@@ -54,11 +66,18 @@ def _merge(a: Exponents, b: Exponents) -> Exponents:
     return (*map(operator.add, a, b), *a[len(b):])
 
 
-def _bump(exps: Exponents, i: int) -> Exponents:
-    """exps with its i-th entry raised by one; trimmed when exps is."""
-    if i <= len(exps):
-        return (*exps[:i - 1], exps[i - 1] + 1, *exps[i:])
-    return (*exps, *(0,) * (i - 1 - len(exps)), 1)
+def _add_terms(summands: Iterable[dict]) -> dict:
+    """The coefficients of summands added key by key into one dict, which
+    starts as a copy of the first nonempty summand (a dict copy is faster
+    than adding its terms one by one); zero coefficients are kept."""
+    out: dict = {}
+    for terms in summands:
+        if not out:
+            out = dict(terms)
+            continue
+        for key, c in terms.items():
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 class SparsePoly:
@@ -99,17 +118,7 @@ class SparsePoly:
 
     @staticmethod
     def sum(polys: Iterable[SparsePoly]) -> SparsePoly:
-        """The sum of polys, added into one dict that starts as a copy of
-        the first nonzero one's terms (a dict copy is faster than adding
-        them key by key)."""
-        out: dict[TermKey, int] = {}
-        for p in polys:
-            if not out:
-                out = dict(p.terms)
-                continue
-            for key, c in p.terms.items():
-                out[key] = out.get(key, 0) + c
-        return SparsePoly._of(out)
+        return SparsePoly._of(_add_terms(p.terms for p in polys))
 
     @staticmethod
     def zero() -> SparsePoly:
@@ -166,24 +175,6 @@ class SparsePoly:
         return SparsePoly._of(out)
 
     __rmul__ = __mul__
-
-    def _times_root(self, i: int, j: int) -> SparsePoly:
-        """
-        self * (x_i - y_j), term by term: each term gives one with its x_i
-        exponent raised and one, negated, with its y_j exponent raised.
-
-        >>> print(SparsePoly.x(1)._times_root(2, 1))
-        x1*x2 - x1*y1
-        """
-        if i < 1 or j < 1:
-            raise ValueError(f"variable index must be positive: x{i} - y{j}")
-        out: dict[TermKey, int] = {}
-        for (xe, ye), c in self.terms.items():
-            key = (_bump(xe, i), ye)
-            out[key] = out.get(key, 0) + c
-            key = (xe, _bump(ye, j))
-            out[key] = out.get(key, 0) - c
-        return SparsePoly._of(out)
 
     def coefficient(self, xexp: Exponents, yexp: Exponents = ()) -> int:
         return self.terms.get((_trim(tuple(xexp)), _trim(tuple(yexp))), 0)
@@ -268,31 +259,110 @@ class SparsePoly:
         return f"SparsePoly({self})"
 
 
+class _PackedRoots:
+    """
+    Root factor products on packed monomials (see the module docstring):
+    terms are dicts from packed ints to coefficients.  Multiplying by
+    x_i - y_j adds one int to each term for x_i and one for y_j.
+    times_root may leave a zero coefficient; sum and unpack drop them.
+
+    >>> roots = _PackedRoots(2, 2)
+    >>> print(roots.unpack(roots.product([(1, 2), (2, 1)])))
+    x1*x2 - x1*y1 - x2*y2 + y1*y2
+    """
+
+    __slots__ = ("n", "bound", "bits", "degree_shift")
+
+    def __init__(self, n: int, bound: int):
+        self.n, self.bound = n, bound
+        self.bits = max(bound.bit_length(), 1)
+        self.degree_shift = 2 * n * self.bits
+
+    def times_root(self, terms: dict[int, int], i: int, j: int) -> dict[int, int]:
+        """terms * (x_i - y_j).  Raises ValueError when i or j is outside
+        1..n or a term already has total degree bound."""
+        n = self.n
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"root x{i} - y{j} outside x1..x{n}, y1..y{n}")
+        if terms and max(terms) >> self.degree_shift >= self.bound:
+            raise ValueError(f"a root factor past the degree bound {self.bound}")
+        degree = 1 << self.degree_shift
+        xi = degree + (1 << (i - 1) * self.bits)
+        yj = degree + (1 << (n + j - 1) * self.bits)
+        # Raising x_i sends distinct monomials to distinct ones; only the
+        # y_j side can land on a key already there.
+        out = {key + xi: c for key, c in terms.items()}
+        for key, c in terms.items():
+            key += yj
+            out[key] = out.get(key, 0) - c
+        return out
+
+    def product(self, factors: Iterable[tuple[int, int]]) -> dict[int, int]:
+        """The product of x_i - y_j over the pairs (i, j) in factors."""
+        terms = {0: 1}
+        for i, j in factors:
+            terms = self.times_root(terms, i, j)
+        return terms
+
+    @staticmethod
+    def sum(summands: Iterable[dict[int, int]]) -> dict[int, int]:
+        return {key: c for key, c in _add_terms(summands).items() if c}
+
+    def unpack(self, terms: dict[int, int]) -> SparsePoly:
+        """terms as a SparsePoly; each distinct x part and y part of the
+        packed monomials is unpacked once."""
+        half, mask = self.n * self.bits, (1 << self.bits) - 1
+        low = (1 << half) - 1
+        parts = {key & low for key in terms} | {key >> half & low for key in terms}
+        exps = {
+            part: _trim(tuple(part >> shift & mask for shift in range(0, half, self.bits)))
+            for part in parts
+        }
+        return SparsePoly._of(
+            {(exps[key & low], exps[key >> half & low]): c for key, c in terms.items()}
+        )
+
+    def y_free(self, terms: dict[int, int]) -> SparsePoly:
+        """The terms without y, unpacked: terms at y = 0."""
+        y_fields = (1 << self.degree_shift) - (1 << self.n * self.bits)
+        return self.unpack({key: c for key, c in terms.items() if not key & y_fields})
+
+
 def _factor_sum(
-    u: Perm, k: int, floor_k: bool, memo: dict[tuple[Perm, int], dict[Exponents, int]]
+    u: Perm,
+    k: int,
+    floor_k: bool,
+    memo: dict[tuple[Perm, int], dict[Exponents, int]],
+    ell: int,
 ) -> dict[Exponents, int]:
     """
     The x-exponents and coefficients of the sum over factorizations
     u = d_1 d_2 ... d_k, lengths adding up, of prod x_j^{l(d_j)}, where each
     d_j is a strictly decreasing word with letters at least j when floor_k
     is set and at least 1 otherwise.  Factor k is peeled off the right end
-    of u: a run of right descents with rising letters.  Memoised in memo
-    on (u, k).  Not a closure: a recursive closure is a reference cycle
-    that keeps memo alive until the cycle collector runs.
+    of u: a run of right descents with rising letters.  ell is length(u),
+    carried down rather than recomputed.  A decreasing word in the letters
+    j..n-1 (n = len(u)) has at most n - j letters, so u has no
+    factorization, and no state below it is visited, when ell exceeds the
+    sum of n - j over j <= k (floor_k) or k(n - 1).  Memoised in memo on
+    (u, k).  Not a closure: a recursive closure is a reference cycle that
+    keeps memo alive until the cycle collector runs.
     """
+    n, j = len(u), min(k, len(u))
+    if ell > (j * (2 * n - j - 1) // 2 if floor_k else k * (n - 1)):
+        return {}
     key = (u, k)
     if key in memo:
         return memo[key]
     out: dict[Exponents, int] = {}
     if k == 0:
-        if not descents(u):
-            out[()] = 1
+        out[()] = 1
     else:
         pad = (0,) * (k - 1)
         stack = [(u, k if floor_k else 1, 0)]
         while stack:
             v, lowest, e = stack.pop()
-            for xe, c in _factor_sum(v, k - 1, floor_k, memo).items():
+            for xe, c in _factor_sum(v, k - 1, floor_k, memo, ell - e).items():
                 if e:
                     xe = (*xe, *pad[len(xe):], e)
                 out[xe] = out.get(xe, 0) + c
@@ -305,7 +375,7 @@ def _factor_sum(
 
 def _compatible_poly(w: Perm, m: int, floor_k: bool) -> SparsePoly:
     """_factor_sum of w in m factors, as a polynomial."""
-    terms = _factor_sum(w, m, floor_k, {})
+    terms = _factor_sum(w, m, floor_k, {}, length(w))
     return SparsePoly._of({(xe, ()): c for xe, c in terms.items()})
 
 
@@ -393,20 +463,24 @@ def double_schubert(w: Perm) -> SparsePoly:
     >>> print(double_schubert((1, 3, 2)))
     x1 + x2 - y1 - y2
     """
-    return _double_schubert(w, {})
+    roots = _PackedRoots(max(len(w) - 1, 0), length(w))
+    return roots.unpack(_double_schubert(w, roots, {}))
 
 
-def _double_schubert(w: Perm, memo: dict[Perm, SparsePoly]) -> SparsePoly:
-    """double_schubert memoised in memo.  Not a closure, for the reason
-    given at _factor_sum."""
+def _double_schubert(
+    w: Perm, roots: _PackedRoots, memo: dict[Perm, dict[int, int]]
+) -> dict[int, int]:
+    """double_schubert of w packed by roots, which needs n >= len(w) - 1
+    and bound >= length(w), memoised in memo.  Not a closure, for the
+    reason given at _factor_sum."""
     if w in memo:
         return memo[w]
     if not descents(w):
-        return SparsePoly.constant(1)
+        return {0: 1}
     r, s, v, pivots = last_descent_step(w)
-    out = SparsePoly.sum([
-        _double_schubert(v, memo)._times_root(r, w[s - 1]),
-        *(_double_schubert(apply_transposition(v, i, r), memo) for i in pivots),
+    out = roots.sum([
+        roots.times_root(_double_schubert(v, roots, memo), r, w[s - 1]),
+        *(_double_schubert(apply_transposition(v, i, r), roots, memo) for i in pivots),
     ])
     memo[w] = out
     return out

@@ -233,8 +233,6 @@ def to_json(tree: TransitionTree) -> dict:
 
 
 def render_ascii(tree: TransitionTree) -> str:
-    lines: list[str] = []
-
     def label(node: TreeNode) -> str:
         text = format_permutation(node.perm)
         if node.move is not None:
@@ -244,13 +242,20 @@ def render_ascii(tree: TransitionTree) -> str:
             text += "  embedded"
         return text
 
-    def walk(node: TreeNode, prefix: str) -> None:
-        for pos, child_id in enumerate(node.children):
-            child = tree.nodes[child_id]
+    # Each entry is a node still to print, the start of its line and the
+    # start of its children's lines; children are pushed in reverse so
+    # that they pop in order.  An explicit stack, not a recursive closure,
+    # so that nothing here is a reference cycle.
+    lines: list[str] = []
+    stack = [(tree.root, "", "")]
+    while stack:
+        node, lead, prefix = stack.pop()
+        lines.append(lead + label(node))
+        for pos in reversed(range(len(node.children))):
             last = pos == len(node.children) - 1
-            lines.append(prefix + ("└─ " if last else "├─ ") + label(child))
-            walk(child, prefix + ("   " if last else "│  "))
-
-    lines.append(label(tree.root))
-    walk(tree.root, "")
+            stack.append((
+                tree.nodes[node.children[pos]],
+                prefix + ("└─ " if last else "├─ "),
+                prefix + ("   " if last else "│  "),
+            ))
     return "\n".join(lines)

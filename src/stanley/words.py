@@ -189,8 +189,9 @@ def complement_word(a: Word) -> Word:
     a^c = (n - a_1, ..., n - a_l); a reduced word of the reverse-complement
     of evaluate(a).
     """
-    if any(not 1 <= x < a.n for x in a.letters):
-        raise ValueError(f"letters out of range for ambient size {a.n}")
+    for t in a.letters:
+        if not 1 <= t < a.n:
+            raise ValueError(f"letter {t} out of range for ambient size {a.n}")
     return Word(tuple(a.n - x for x in a.letters), a.n)
 
 

@@ -28,6 +28,10 @@ The peel expands a symmetric polynomial on Schur polynomials by
 subtracting c s_lam for its leading monomial c x^lam until nothing is
 left, then rebuilds the polynomial from every s_lam.
 
+The tuple-key transition computes the double Schubert polynomial by the
+same recursion as the library, multiplying by each root factor x_i - y_j
+on SparsePoly terms keyed by exponent tuples instead of packed ints.
+
 The pattern tests (containment, vexillary, the Grassmannian shape), the
 reverse-complement and the tile replacement are used by the tests alone.
 """
@@ -36,7 +40,9 @@ from collections import Counter
 from itertools import combinations
 
 from stanley.permutations import (
+    apply_transposition,
     descents,
+    last_descent_step,
     length,
     longest_element,
     multiply_simple,
@@ -414,3 +420,37 @@ def compatible_sum(w, caps):
         expo = [0] * max((cap for _, cap in steps), default=0)
         add_sequences(out, steps, expo, 0, 1, count)
     return SparsePoly(out)
+
+
+def _bump(exps, i):
+    """exps with its i-th entry raised by one; trimmed when exps is."""
+    if i <= len(exps):
+        return (*exps[:i - 1], exps[i - 1] + 1, *exps[i:])
+    return (*exps, *(0,) * (i - 1 - len(exps)), 1)
+
+
+def times_root_by_tuples(f, i, j):
+    """f * (x_i - y_j), term by term on tuple keys: each term gives one with
+    its x_i exponent raised and one, negated, with its y_j exponent raised."""
+    out = {}
+    for (xe, ye), c in f.terms.items():
+        key = (_bump(xe, i), ye)
+        out[key] = out.get(key, 0) + c
+        key = (xe, _bump(ye, j))
+        out[key] = out.get(key, 0) - c
+    return SparsePoly(out)
+
+
+def double_schubert_by_tuples(w, memo):
+    """The transition at the last descent on tuple keys, memoised in memo:
+    S_w = (x_r - y_{w_s}) S_v + the sum of S_{v t_{ir}} over the pivots i."""
+    if w not in memo:
+        if not descents(w):
+            return SparsePoly.constant(1)
+        r, s, v, pivots = last_descent_step(w)
+        memo[w] = SparsePoly.sum([
+            times_root_by_tuples(double_schubert_by_tuples(v, memo), r, w[s - 1]),
+            *(double_schubert_by_tuples(apply_transposition(v, i, r), memo) for i in pivots),
+        ])
+    return memo[w]
+

@@ -308,6 +308,25 @@ def test_verify_long_s6_and_s7(capsys):
     )
 
 
+def test_verify_past_s7(capsys):
+    # An element of S8 with 80 bumpless pipedreams and a double Schubert
+    # polynomial of 218,763 terms.
+    status, out, _ = run(capsys, "verify", "74218365")
+    assert status == 0
+    shapes = (
+        "(6,5,3):1 (6,5,2,1):2 (6,5,1,1,1):1 (6,4,4):1 (6,4,3,1):2 "
+        "(6,4,2,2):1 (6,4,2,1,1):1 (6,3,3,2):1 (6,3,3,1,1):1"
+    )
+    assert out == (
+        f"tableaux:    {shapes}\n"
+        f"pipedreams:  {shapes}\n"
+        f"mls_leaves:  {shapes}\n"
+        f"monomial:    {shapes}\n"
+        "weight sum:  OK\n"
+        "status: OK\n"
+    )
+
+
 def test_verify_long_cycles(capsys):
     # F_w of the cycle (2, 3, ..., n, 1) in its n - 1 variables is the one
     # monomial x1*...*x(n-1).  Summing the alternant over all of S_(n-1)

@@ -4,6 +4,7 @@ import re
 import signal
 from collections import Counter
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,12 +13,14 @@ from oracles import (
     compatible_sum,
     complement,
     count_reduced_words,
+    double_schubert_by_tuples,
     double_staircase,
     grassmannian_shape,
     is_vexillary,
     schubert_by_staircase,
     schur_expand_by_peel,
     staircase,
+    times_root_by_tuples,
 )
 from stanley.permutations import (
     all_permutations,
@@ -29,8 +32,10 @@ from stanley.permutations import (
     longest_element,
     reduced_words,
 )
+from stanley.pipedreams import enumerate_all, weight
 from stanley.polynomials import (
     SparsePoly,
+    _PackedRoots,
     divided_difference,
     double_schubert,
     eg_coeffs,
@@ -102,6 +107,17 @@ def test_arithmetic_keeps_keys_trimmed_and_coefficients_nonzero(f, g, k):
         assert r == SparsePoly(dict(r.terms))
 
 
+def pack(roots, f):
+    """f in the packed form of roots: each exponent in its field, the total
+    degree in the top one."""
+    out = {}
+    for (xe, ye), c in f.terms.items():
+        fields = (*xe, *(0,) * (roots.n - len(xe)), *ye)
+        key = sum(e << roots.bits * v for v, e in enumerate(fields))
+        out[key + (sum(xe) + sum(ye) << roots.degree_shift)] = c
+    return out
+
+
 @given(
     two_alphabet_polys,
     st.integers(min_value=1, max_value=6),
@@ -110,17 +126,55 @@ def test_arithmetic_keeps_keys_trimmed_and_coefficients_nonzero(f, g, k):
 # (x1 + y2)(x1 - y2): the two x1*y2 terms cancel.
 @example(x(1) + y(2), 1, 2)
 def test_root_factor_kernel_matches_the_general_product(f, i, j):
-    g = f._times_root(i, j)
-    assert g == f * (x(i) - y(j))
-    for (xe, ye), c in g.terms.items():
-        assert c != 0
-        assert xe[-1:] != (0,) and ye[-1:] != (0,)
+    n = max(i, j, *(len(e) for key in f.terms for e in key))
+    roots = _PackedRoots(n, f.degree() + 1)
+    g = roots.times_root(pack(roots, f), i, j)
+    assert roots.unpack(g) == f * (x(i) - y(j)) == times_root_by_tuples(f, i, j)
+    assert roots.sum([g]) == pack(roots, f * (x(i) - y(j)))
 
 
 def test_root_factor_kernel_needs_positive_indices():
-    for i, j in ((0, 1), (1, 0), (-1, 2)):
-        with pytest.raises(ValueError, match="must be positive"):
-            x(1)._times_root(i, j)
+    roots = _PackedRoots(3, 2)
+    for i, j in ((0, 1), (1, 0), (4, 1), (1, 4), (-1, 2)):
+        with pytest.raises(ValueError, match="outside x1..x3, y1..y3"):
+            roots.times_root({0: 1}, i, j)
+    assert roots.unpack(roots.product([(3, 3), (1, 1)])) == (x(3) - y(3)) * (x(1) - y(1))
+
+
+def test_root_factor_kernel_refuses_a_factor_past_its_bound():
+    # Three bits hold degree 7: an eighth factor of x3 would carry into y1.
+    roots = _PackedRoots(3, 7)
+    assert roots.bits == 3
+    full = roots.product([(3, 1)] * 7)
+    assert roots.unpack(full) == SparsePoly.sum(
+        x(3, k) * y(1, 7 - k) * (-1) ** (7 - k) * comb(7, k) for k in range(8)
+    )
+    with pytest.raises(ValueError, match="past the degree bound 7"):
+        roots.times_root(full, 3, 1)
+    # One term at the bound is enough, whatever the others hold.
+    with pytest.raises(ValueError, match="past the degree bound 7"):
+        roots.times_root({0: 1, **pack(roots, x(3, 7))}, 1, 1)
+    with pytest.raises(ValueError, match="past the degree bound 0"):
+        _PackedRoots(2, 0).times_root({0: 1}, 1, 1)
+
+
+def test_packed_transition_and_weights_match_the_tuple_oracle():
+    # str is a function of the terms; it is compared where it is cheap to
+    # print, through S5.
+    memo = {}
+    for w in (w for n in range(1, 7) for w in all_permutations(n)):
+        expected = double_schubert_by_tuples(w, memo)
+        got = double_schubert(w)
+        assert got == expected and (len(w) == 6 or str(got) == str(expected)), w
+        dreams = enumerate_all(w)
+        if len(w) < 6:
+            total = SparsePoly.sum(map(weight, dreams))
+            assert total == expected and str(total) == str(expected), w
+        # The comparison verify makes, on packed terms.
+        roots = _PackedRoots(len(w) - 1, length(w))
+        packed = roots.sum(roots.product(p.empty_boxes()) for p in dreams)
+        assert packed == pack(roots, expected), w
+        assert roots.y_free(packed) == schubert_bjs(w), w
 
 
 def test_display():

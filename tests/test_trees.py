@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -402,3 +403,16 @@ def test_render_ascii():
     assert any("embedded" in line for line in lines)
     assert any("p=5 q=6 i=2" in line for line in lines)
     assert len(lines) == len(LS_231654)
+
+
+def test_render_ascii_leaves_no_cycles():
+    # Everything render_ascii builds is freed by reference counting when
+    # it returns, without waiting for the cycle collector.
+    tree = ls_tree(W321654)
+    gc.disable()
+    try:
+        gc.collect()
+        render_ascii(tree)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

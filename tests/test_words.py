@@ -256,6 +256,12 @@ def test_complement_word_involution(a):
     assert is_reduced(complement_word(a))
 
 
+def test_complement_word_names_the_first_bad_letter():
+    for letters, bad in (((2, 5, 0), 5), ((0, 5), 0), ((1, 4), 4)):
+        with pytest.raises(ValueError, match=f"^letter {bad} out of range for ambient size 4$"):
+            complement_word(Word(letters, 4))
+
+
 def test_reverse():
     assert reverse(Word((5, 4, 1, 2, 5), 6)) == Word((5, 2, 1, 4, 5), 6)
 
