@@ -211,12 +211,12 @@ def parse_permutation(text: str) -> Perm:
     the compact digit string ("231654").
     """
     text = text.strip()
-    if "," in text:
-        window = tuple(int(part) for part in text.split(","))
-    elif text.isdigit():
-        window = tuple(int(ch) for ch in text)
-    else:
-        raise ValueError(f"cannot parse permutation: {text!r}")
+    try:
+        if "," not in text and not text.isdigit():
+            raise ValueError
+        window = tuple(map(int, text.split(",") if "," in text else text))
+    except ValueError:
+        raise ValueError(f"cannot parse permutation: {text!r}") from None
     if not is_permutation(window):
         raise ValueError(f"not a permutation of 1..{len(window)}: {text!r}")
     return window

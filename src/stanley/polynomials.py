@@ -5,8 +5,9 @@ finitely many variables), Schubert and double Schubert polynomials, Schur
 polynomials, and the expansion machinery connecting them.  Stanley and
 Schubert polynomials come from one recursion down the weak order that
 peels a factorization into decreasing words, without listing reduced
-words; double Schubert polynomials come from the transition at the last
-descent, one root factor x_r - y_j at a time.
+words, and so do Schur polynomials, as the Stanley symmetric functions of
+Grassmannian permutations; double Schubert polynomials come from the
+transition at the last descent, one root factor x_r - y_j at a time.
 
 All coefficients are exact integers.  A term maps a pair of exponent
 vectors (one for x, one for y, trailing zeros dropped) to its coefficient.
@@ -46,6 +47,7 @@ from .permutations import (
     last_descent_step,
     length,
     multiply_simple,
+    perm_from_code,
 )
 
 Exponents = tuple[int, ...]
@@ -374,8 +376,9 @@ def _factor_sum(
 
 
 def _compatible_poly(w: Perm, m: int, floor_k: bool) -> SparsePoly:
-    """_factor_sum of w in m factors, as a polynomial."""
-    terms = _factor_sum(w, m, floor_k, {}, length(w))
+    """_factor_sum of w in m factors, as a polynomial.  w = () enters as
+    (1,): _factor_sum's bound k(n - 1) would be negative at n = 0."""
+    terms = _factor_sum(w or (1,), m, floor_k, {}, length(w))
     return SparsePoly._of({(xe, ()): c for xe, c in terms.items()})
 
 
@@ -489,8 +492,10 @@ def _double_schubert(
 @lru_cache(maxsize=None)
 def schur_poly(lam: tuple[int, ...], m: int) -> SparsePoly:
     """
-    The Schur polynomial s_lam(x_1..x_m) by semistandard tableau
-    enumeration; zero when lam has more than m rows.
+    The Schur polynomial s_lam(x_1..x_m): the Stanley symmetric function
+    of the Grassmannian permutation of lam, whose Lehmer code is lam
+    reversed, in m variables (Stanley 1984; Edelman-Greene 1987).  Zero
+    when lam has more than m rows.
 
     >>> print(schur_poly((2, 1), 2))
     x1^2*x2 + x1*x2^2
@@ -499,33 +504,8 @@ def schur_poly(lam: tuple[int, ...], m: int) -> SparsePoly:
         raise ValueError(f"not a partition: {lam}")
     if len(lam) > m:
         return SparsePoly.zero()
-    if not lam:
-        return SparsePoly.constant(1)
-    out: dict[TermKey, int] = {}
-    cells = [(i, j) for i, part in enumerate(lam) for j in range(part)]
-    filling: dict[tuple[int, int], int] = {}
-    expo = [0] * m
-
-    def rec(idx: int) -> None:
-        if idx == len(cells):
-            key = (_trim(tuple(expo)), ())
-            out[key] = out.get(key, 0) + 1
-            return
-        i, j = cells[idx]
-        lo = 1
-        if j > 0:
-            lo = filling[(i, j - 1)]
-        if i > 0:
-            lo = max(lo, filling[(i - 1, j)] + 1)
-        for v in range(lo, m + 1):
-            filling[(i, j)] = v
-            expo[v - 1] += 1
-            rec(idx + 1)
-            expo[v - 1] -= 1
-        filling.pop((i, j), None)
-
-    rec(0)
-    return SparsePoly._of(out)
+    w = perm_from_code(lam[::-1] + (0,) * max(lam, default=0))
+    return _compatible_poly(w, m, floor_k=False)
 
 
 def schur_expand(f: SparsePoly, m: int) -> dict[tuple[int, ...], int]:

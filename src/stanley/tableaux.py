@@ -220,9 +220,10 @@ def parse_tableau(text: str) -> Tableau:
     text = text.strip()
     if not text:
         return ()
-    t = tuple(
-        tuple(int(x) for x in row.split(",")) for row in text.split("/")
-    )
+    try:
+        t = tuple(tuple(map(int, row.split(","))) for row in text.split("/"))
+    except ValueError:
+        raise ValueError(f"cannot parse tableau: {text!r}") from None
     if not is_partition_shape(t) or any(x < 1 for row in t for x in row):
         raise ValueError(f"not a tableau: {text!r}")
     return t

@@ -78,17 +78,13 @@ def maximal_transition(w: Perm) -> tuple[int, int, frozenset[int], frozenset[Per
     return r, s, frozenset(), children
 
 
-def _expand_box_tree(w: Perm, decorate: bool) -> TransitionTree:
-    tree = TransitionTree("eg" if decorate else "mls", [])
-    root = TreeNode(0, None, w, len(w), None, rothe(w) if decorate else None)
-    tree.nodes.append(root)
-    stack = [root]
+def _expand_box_tree(w: Perm) -> TransitionTree:
+    tree = TransitionTree("mls", [TreeNode(0, None, w, len(w), None)])
+    stack = [tree.root]
     while stack:
         node = stack.pop()
         u = node.perm
         if is_dominant(u):
-            if decorate:
-                assert is_eg(node.pipedream) is not None, u
             continue
         p, q, pivots = _max_pivot_box(u)
         if node.move is not None:
@@ -107,13 +103,6 @@ def _expand_box_tree(w: Perm, decorate: bool) -> TransitionTree:
             child = TreeNode(
                 len(tree.nodes), node.id, child_perm, node.n, (p, q, i)
             )
-            if decorate:
-                child.pipedream = droop(
-                    node.pipedream, (i, u[i - 1]), (p, u[q - 1])
-                )
-                assert frozenset(child.pipedream.empty_boxes()) == rothe_diagram(
-                    child_perm
-                ), (u, child_perm)
             tree.nodes.append(child)
             node.children.append(child.id)
             children.append(child)
@@ -125,17 +114,37 @@ def mls_tree(w: Perm) -> TransitionTree:
     """
     The modified transition tree: every node keeps the ambient size of w
     and every leaf is dominant.
+
+    >>> [format_permutation(v.perm) for v in mls_tree((2, 3, 1, 6, 5, 4)).leaves()]
+    ['431256', '423156', '342156', '324516']
     """
-    return _expand_box_tree(w, decorate=False)
+    return _expand_box_tree(w)
 
 
 def eg_tree(w: Perm) -> TransitionTree:
     """
     The modified transition tree with each node carrying the bumpless
     pipedream obtained by drooping along the node's transition; leaves
-    carry the EG-pipedreams of w.
+    carry the EG-pipedreams of w.  The nodes are listed parents first, so
+    one pass over them droops every child from its parent's pipedream.
+
+    >>> [is_eg(v.pipedream) for v in eg_tree((2, 3, 1, 6, 5, 4)).leaves()]
+    [(3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1)]
     """
-    return _expand_box_tree(w, decorate=True)
+    # The builder, not mls_tree: a wrapper on mls_tree counts its own calls.
+    tree = TransitionTree("eg", _expand_box_tree(w).nodes)
+    tree.root.pipedream = rothe(w)
+    for node in tree.nodes:
+        if node.move is not None:
+            parent = tree.nodes[node.parent]
+            u, (p, q, i) = parent.perm, node.move
+            node.pipedream = droop(parent.pipedream, (i, u[i - 1]), (p, u[q - 1]))
+            assert frozenset(node.pipedream.empty_boxes()) == rothe_diagram(
+                node.perm
+            ), (u, node.perm)
+        if node.leaf:
+            assert is_eg(node.pipedream) is not None, node.perm
+    return tree
 
 
 def ls_tree(w: Perm) -> TransitionTree:
@@ -149,6 +158,9 @@ def ls_tree(w: Perm) -> TransitionTree:
     larger pivot is resolved further.  Those extra steps run through
     singleton transitions, so they leave the leaf shapes untouched and
     always settle.
+
+    >>> [format_permutation(v.perm) for v in ls_tree((2, 3, 1, 6, 5, 4)).leaves()]
+    ['351246', '2361457', '2451367', '2346157']
     """
     tree = TransitionTree("ls", [])
     root = TreeNode(0, None, w, len(w), None)

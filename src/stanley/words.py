@@ -225,8 +225,10 @@ def parse_word(text: str) -> tuple[int, ...]:
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
-    parts = text.replace(",", " ").split()
-    letters = tuple(int(p) for p in parts)
+    try:
+        letters = tuple(int(p) for p in text.replace(",", " ").split())
+    except ValueError:
+        raise ValueError(f"cannot parse word: {text!r}") from None
     if any(x < 1 for x in letters):
         raise ValueError(f"letters must be positive: {text!r}")
     return letters

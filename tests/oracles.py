@@ -24,9 +24,13 @@ its neighbours and the boundary in row-major order, then a walk of each
 pipe from the south boundary to its east exit.  The droop and the reverse
 droop are checked and carried out the same way, one tile at a time.
 
+The tableau sum builds the Schur polynomial s_lam(x_1..x_m) from its
+definition: one monomial x^T for every semistandard tableau T of shape
+lam with entries at most m.
+
 The peel expands a symmetric polynomial on Schur polynomials by
 subtracting c s_lam for its leading monomial c x^lam until nothing is
-left, then rebuilds the polynomial from every s_lam.
+left, then rebuilds the polynomial from every s_lam of the tableau sum.
 
 The tuple-key transition computes the double Schubert polynomial by the
 same recursion as the library, multiplying by each root factor x_i - y_j
@@ -49,7 +53,7 @@ from stanley.permutations import (
     reduced_words,
 )
 from stanley.pipedreams import _DROOP, _LIFT, EDGES, KIND_NAMES, BumplessPipedream
-from stanley.polynomials import SparsePoly, _trim, divided_difference, schur_poly
+from stanley.polynomials import SparsePoly, _trim, divided_difference
 from stanley.words import bump_at, delete_letter, is_reduced
 
 
@@ -89,6 +93,35 @@ def complement(w):
     return tuple(n + 1 - w[n - i] for i in range(1, n + 1))
 
 
+def schur_poly_by_tableaux(lam, m):
+    """
+    polynomials.schur_poly by semistandard tableau enumeration: its
+    partition check, zero when lam has more than m rows, then the tableaux
+    filled cell by cell in row-major order from an explicit stack, each
+    entry at least its left neighbour and greater than the one above it.
+    """
+    if any(a < b for a, b in zip(lam, lam[1:])) or any(p < 1 for p in lam):
+        raise ValueError(f"not a partition: {lam}")
+    if len(lam) > m:
+        return SparsePoly.zero()
+    cells = [(i, j) for i, part in enumerate(lam) for j in range(part)]
+    starts = [sum(lam[:i]) for i in range(len(lam))]
+    counts = Counter()
+    stack = [()]
+    while stack:
+        filling = stack.pop()
+        idx = len(filling)
+        if idx == len(cells):
+            counts[_trim(tuple(map(filling.count, range(1, m + 1))))] += 1
+            continue
+        i, j = cells[idx]
+        lo = filling[idx - 1] if j else 1
+        if i:
+            lo = max(lo, filling[starts[i - 1] + j] + 1)
+        stack.extend(filling + (v,) for v in range(lo, m + 1))
+    return SparsePoly._of({(xe, ()): c for xe, c in counts.items()})
+
+
 def schur_expand_by_peel(f, m):
     """
     polynomials.schur_expand by peeling the lexicographically leading
@@ -117,10 +150,10 @@ def schur_expand_by_peel(f, m):
                 "Schur-positive or the variable window is too small"
             )
         coeffs[lam] = c
-        rest = rest - c * schur_poly(lam, m)
+        rest = rest - c * schur_poly_by_tableaux(lam, m)
     total = SparsePoly.zero()
     for lam, c in coeffs.items():
-        total += c * schur_poly(lam, m)
+        total += c * schur_poly_by_tableaux(lam, m)
     assert total == f, "Schur reconstruction failed"
     return coeffs
 

@@ -383,6 +383,18 @@ def test_parse_errors_exit_nonzero(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("expand", "1,2,"), "cannot parse permutation: '1,2,'"),
+        (("bijection", "forward", "1", "1,,2"), "cannot parse tableau: '1,,2'"),
+        (("eg-insert", "a"), "cannot parse word: 'a'"),
+    ],
+)
+def test_parse_errors_name_the_input(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_failed_invariant_exits_3(capsys, monkeypatch):
     def broken(letters):
         raise AssertionError("row lost a box")

@@ -19,6 +19,7 @@ from oracles import (
     is_vexillary,
     schubert_by_staircase,
     schur_expand_by_peel,
+    schur_poly_by_tableaux,
     staircase,
     times_root_by_tuples,
 )
@@ -206,7 +207,7 @@ def test_stanley_truncated_is_symmetric_and_homogeneous(w):
 def test_stanley_truncated_matches_schur_for_vexillary():
     # A vexillary permutation's Stanley function is a single Schur
     # polynomial at the sorted Lehmer code, here (3, 2, 2).
-    assert stanley_truncated((3, 5, 4, 1, 2), 4) == schur_poly((3, 2, 2), 4)
+    assert stanley_truncated((3, 5, 4, 1, 2), 4) == schur_poly_by_tableaux((3, 2, 2), 4)
 
 
 def test_schubert_bjs_small():
@@ -307,6 +308,43 @@ def test_schur_poly_small():
 
 def test_schur_poly_symmetric():
     assert schur_poly((3, 1), 4).is_symmetric_x(4)
+
+
+def test_schur_poly_is_the_tableau_sum():
+    # Every partition of size at most 7: weakly decreasing tuples drawn
+    # from a descending range.
+    shapes = [
+        lam
+        for rows in range(8)
+        for lam in combinations_with_replacement(range(7, 0, -1), rows)
+        if sum(lam) <= 7
+    ]
+    assert len(shapes) == 45
+    for lam in shapes:
+        for m in range(9):
+            assert schur_poly(lam, m) == schur_poly_by_tableaux(lam, m), (lam, m)
+    for m in (-2, -1, 0):
+        assert schur_poly((), m) == schur_poly_by_tableaux((), m), m
+    with pytest.raises(ValueError, match=re.escape("not a partition: (2, 0)")):
+        schur_poly((2, 0), 3)
+
+
+def test_schur_poly_leaves_no_cycles():
+    gc.disable()
+    try:
+        gc.collect()
+        schur_poly.__wrapped__((3, 2, 1), 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("w", [(), (1,)])
+def test_every_route_expands_the_identity_of_s0_and_s1(w):
+    for method in ("tableaux", "pipedreams", "mls_leaves", "monomial"):
+        assert eg_coeffs(w, method) == {(): 1}, method
+    for m in (None, 1, 2):
+        assert stanley_truncated(w, m) == SparsePoly.constant(1), m
 
 
 def orbit_sum(f, m):

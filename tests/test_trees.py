@@ -256,7 +256,8 @@ def test_eg_tree_dominant_root():
 
 
 def test_eg_tree_matches_mls_everywhere():
-    for w in all_permutations(4):
+    # Node for node: eg_tree is the mls tree with a droop on every edge.
+    for w in (w for n in range(1, 7) for w in all_permutations(n)):
         mls = mls_tree(w)
         eg = eg_tree(w)
         assert [(n.id, n.parent, n.perm, n.move) for n in mls.nodes] == [
