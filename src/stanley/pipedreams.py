@@ -402,19 +402,11 @@ def max_pivot_box(w: Perm) -> tuple[int, int]:
     >>> max_pivot_box((2, 3, 1, 6, 5, 4))
     (5, 6)
     """
-    p, q, _ = _max_pivot_box(w)
-    return p, q
-
-
-def _max_pivot_box(w: Perm) -> tuple[int, int, list[int]]:
-    """max_pivot_box with the pivot positions up_pivots(w t_pq, p) found
-    on the way, for the callers that expand the box."""
     inv = inverse(w)
     for p, c in sorted(rothe_diagram(w), reverse=True):
         q = inv[c - 1]
-        pivots = up_pivots(apply_transposition(w, p, q), p)
-        if pivots:
-            return p, q, pivots
+        if up_pivots(apply_transposition(w, p, q), p):
+            return p, q
     raise ValueError(f"{w} is dominant: no empty box has a pivot")
 
 
@@ -422,7 +414,7 @@ def weight(p: BumplessPipedream) -> SparsePoly:
     """The product of x_i - y_j over the empty boxes (i, j), multiplied in
     packed form one root factor at a time and unpacked once."""
     boxes = p.empty_boxes()
-    roots = _PackedRoots(p.n - 1, len(boxes))
+    roots = _PackedRoots(max(p.n - 1, 0), len(boxes))
     return roots.unpack(roots.product(boxes))
 
 
@@ -461,8 +453,9 @@ def enumerate_all(w: Perm) -> list[BumplessPipedream]:
     frontier = [start]
     while frontier:
         p = frontier.pop()
+        empty = p.empty_boxes()
         for elbow in p.se_elbows():
-            for target in p.empty_boxes():
+            for target in empty:
                 if not (elbow[0] < target[0] and elbow[1] < target[1]):
                     continue
                 try:

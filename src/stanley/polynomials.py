@@ -495,11 +495,13 @@ def schur_poly(lam: tuple[int, ...], m: int) -> SparsePoly:
     The Schur polynomial s_lam(x_1..x_m): the Stanley symmetric function
     of the Grassmannian permutation of lam, whose Lehmer code is lam
     reversed, in m variables (Stanley 1984; Edelman-Greene 1987).  Zero
-    when lam has more than m rows.
+    when lam has more than m rows; a negative m raises ValueError.
 
     >>> print(schur_poly((2, 1), 2))
     x1^2*x2 + x1*x2^2
     """
+    if m < 0:
+        raise ValueError(f"negative number of variables: m={m}")
     if any(a < b for a, b in zip(lam, lam[1:])) or any(p < 1 for p in lam):
         raise ValueError(f"not a partition: {lam}")
     if len(lam) > m:
@@ -536,14 +538,16 @@ def schur_expand(f: SparsePoly, m: int) -> dict[tuple[int, ...], int]:
     (Weyl's dimension formula), multiplied through by V(delta) so that
     nothing is divided.
 
-    Raises ValueError when f mixes in y variables, uses a variable past
-    x_m, is not symmetric in x_1..x_m, or has a negative Schur
-    coefficient, naming the first candidate that has one (not
+    Raises ValueError when m is negative, f mixes in y variables, uses a
+    variable past x_m, is not symmetric in x_1..x_m, or has a negative
+    Schur coefficient, naming the first candidate that has one (not
     Schur-positive, or m too small for the degree).
 
     >>> schur_expand(schur_poly((2, 1), 3) + 2 * schur_poly((3,), 3), 3)
     {(3,): 2, (2, 1): 1}
     """
+    if m < 0:
+        raise ValueError(f"negative number of variables: m={m}")
     if f.has_y():
         raise ValueError("cannot Schur-expand a polynomial with y variables")
     if any(len(xe) > m for xe, _ in f.terms):

@@ -20,13 +20,14 @@ from .permutations import (
     is_dominant,
     is_grassmannian,
     last_descent_step,
+    up_pivots,
     up_slots,
 )
 from .pipedreams import (
     BumplessPipedream,
-    _max_pivot_box,
     droop,
     is_eg,
+    max_pivot_box,
     rothe,
     rothe_diagram,
 )
@@ -37,10 +38,13 @@ class TreeNode:
     id: int
     parent: int | None
     perm: Perm
-    n: int
     move: tuple[int, int, int] | None
     pipedream: BumplessPipedream | None = None
     children: list[int] = field(default_factory=list)
+
+    @property
+    def n(self) -> int:
+        return len(self.perm)
 
     @property
     def leaf(self) -> bool:
@@ -58,6 +62,15 @@ class TransitionTree:
 
     def leaves(self) -> list[TreeNode]:
         return [node for node in self.nodes if node.leaf]
+
+    def add_child(
+        self, node: TreeNode, perm: Perm, move: tuple[int, int, int] | None
+    ) -> TreeNode:
+        """Append a new last child of node and return it."""
+        child = TreeNode(len(self.nodes), node.id, perm, move)
+        self.nodes.append(child)
+        node.children.append(child.id)
+        return child
 
 
 def maximal_transition(w: Perm) -> tuple[int, int, frozenset[int], frozenset[Perm]]:
@@ -78,47 +91,38 @@ def maximal_transition(w: Perm) -> tuple[int, int, frozenset[int], frozenset[Per
     return r, s, frozenset(), children
 
 
-def _expand_box_tree(w: Perm) -> TransitionTree:
-    tree = TransitionTree("mls", [TreeNode(0, None, w, len(w), None)])
+def mls_tree(w: Perm) -> TransitionTree:
+    """
+    The modified transition tree: every node keeps the ambient size of w
+    and every leaf is dominant.  A node u expands max_pivot_box(u) =
+    (p, q), and its children are the transition covers of u t_pq at p.
+
+    >>> [format_permutation(v.perm) for v in mls_tree((2, 3, 1, 6, 5, 4)).leaves()]
+    ['431256', '423156', '342156', '324516']
+    """
+    tree = TransitionTree("mls", [TreeNode(0, None, w, None)])
     stack = [tree.root]
     while stack:
         node = stack.pop()
         u = node.perm
         if is_dominant(u):
             continue
-        p, q, pivots = _max_pivot_box(u)
+        p, q = max_pivot_box(u)
         if node.move is not None:
-            parent = tree.nodes[node.parent]
             pp, pq, _ = node.move
             # Each expansion moves strictly up the box order.
-            assert (p, u[q - 1]) < (pp, parent.perm[pq - 1]), (u, p, q)
+            assert (p, u[q - 1]) < (pp, tree.nodes[node.parent].perm[pq - 1]), (u, p, q)
         v = apply_transposition(u, p, q)
+        pivots = up_pivots(v, p)
         assert pivots, (u, p, q)
-        slots = up_slots(v, p)
-        assert {apply_transposition(v, p, j) for j in slots} == {u}, (u, p, q)
+        assert {apply_transposition(v, p, j) for j in up_slots(v, p)} == {u}, (u, p, q)
         children = []
         for i in pivots:
             child_perm = apply_transposition(v, i, p)
-            assert len(child_perm) == node.n, (u, child_perm)
-            child = TreeNode(
-                len(tree.nodes), node.id, child_perm, node.n, (p, q, i)
-            )
-            tree.nodes.append(child)
-            node.children.append(child.id)
-            children.append(child)
+            assert len(child_perm) == len(w), (u, child_perm)
+            children.append(tree.add_child(node, child_perm, (p, q, i)))
         stack.extend(reversed(children))
     return tree
-
-
-def mls_tree(w: Perm) -> TransitionTree:
-    """
-    The modified transition tree: every node keeps the ambient size of w
-    and every leaf is dominant.
-
-    >>> [format_permutation(v.perm) for v in mls_tree((2, 3, 1, 6, 5, 4)).leaves()]
-    ['431256', '423156', '342156', '324516']
-    """
-    return _expand_box_tree(w)
 
 
 def eg_tree(w: Perm) -> TransitionTree:
@@ -131,8 +135,7 @@ def eg_tree(w: Perm) -> TransitionTree:
     >>> [is_eg(v.pipedream) for v in eg_tree((2, 3, 1, 6, 5, 4)).leaves()]
     [(3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1)]
     """
-    # The builder, not mls_tree: a wrapper on mls_tree counts its own calls.
-    tree = TransitionTree("eg", _expand_box_tree(w).nodes)
+    tree = TransitionTree("eg", mls_tree(w).nodes)
     tree.root.pipedream = rothe(w)
     for node in tree.nodes:
         if node.move is not None:
@@ -162,53 +165,35 @@ def ls_tree(w: Perm) -> TransitionTree:
     >>> [format_permutation(v.perm) for v in ls_tree((2, 3, 1, 6, 5, 4)).leaves()]
     ['351246', '2361457', '2451367', '2346157']
     """
-    tree = TransitionTree("ls", [])
-    root = TreeNode(0, None, w, len(w), None)
-    tree.nodes.append(root)
-    stack = [root]
+    tree = TransitionTree("ls", [TreeNode(0, None, w, None)])
+    # Each entry is a node still to resolve, the number of embeddings in
+    # a row that led to it, and whether a Grassmannian node may end its
+    # branch there: at the root and at the first child of a transition.
+    stack = [(tree.root, 0, True)]
     while stack:
-        node = stack.pop()
+        node, embed_run, may_end = stack.pop()
         u = node.perm
-        if is_grassmannian(u) and (
-            node.parent is None
-            or (
-                node.move is not None
-                and tree.nodes[node.parent].children[0] == node.id
-            )
-        ):
+        if may_end and is_grassmannian(u):
             continue
-        embed_run = 0
-        probe = node
-        while probe.parent is not None and probe.move is None:
-            embed_run += 1
-            probe = tree.nodes[probe.parent]
         if embed_run > 2 * len(w):
             raise RuntimeError(f"embedding guard exceeded at {u}")
         r, s, v, pivots = last_descent_step(u)
         if not pivots:
-            child = TreeNode(len(tree.nodes), node.id, embed_left(u), node.n + 1, None)
-            tree.nodes.append(child)
-            node.children.append(child.id)
-            stack.append(child)
+            child = tree.add_child(node, embed_left(u), None)
+            stack.append((child, embed_run + 1, False))
             continue
-        children = []
-        for i in pivots:
-            child = TreeNode(
-                len(tree.nodes),
-                node.id,
-                apply_transposition(v, i, r),
-                node.n,
-                (r, s, i),
-            )
-            tree.nodes.append(child)
-            node.children.append(child.id)
-            children.append(child)
-        stack.extend(reversed(children))
+        children = [
+            tree.add_child(node, apply_transposition(v, i, r), (r, s, i)) for i in pivots
+        ]
+        stack.extend((child, 0, child is children[0]) for child in reversed(children))
     return tree
 
 
 def leaf_path(tree: TransitionTree, leaf: TreeNode | int) -> list[TreeNode]:
-    """Root-first path down to a leaf, move metadata included."""
+    """Root-first path down to a leaf, move metadata included.  Raises
+    ValueError for an id outside the tree or a node that is not a leaf."""
+    if isinstance(leaf, int) and not 0 <= leaf < len(tree.nodes):
+        raise ValueError(f"no node {leaf}: the ids run from 0 to {len(tree.nodes) - 1}")
     node = tree.nodes[leaf] if isinstance(leaf, int) else leaf
     if not node.leaf:
         raise ValueError(f"node {node.id} ({format_permutation(node.perm)}) is not a leaf")
@@ -231,12 +216,8 @@ def to_json(tree: TransitionTree) -> dict:
                 "parent": node.parent,
                 "perm": list(node.perm),
                 "n": node.n,
-                "move": None
-                if node.move is None
-                else {"p": node.move[0], "q": node.move[1], "i": node.move[2]},
-                "pipedream": None
-                if node.pipedream is None
-                else render(node.pipedream),
+                "move": None if node.move is None else dict(zip("pqi", node.move)),
+                "pipedream": None if node.pipedream is None else render(node.pipedream),
                 "leaf": node.leaf,
             }
             for node in tree.nodes

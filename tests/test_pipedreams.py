@@ -64,7 +64,7 @@ def legal_droops(p):
 
 
 def test_rothe_identity():
-    for n in (1, 2, 4):
+    for n in (0, 1, 2, 4):
         p = rothe(identity(n))
         assert p.empty_boxes() == []
         assert validate(p) == identity(n)

@@ -1,11 +1,13 @@
 import gc
 import random
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import grassmannian_shape
+from stanley import pipedreams, trees
 from stanley.permutations import (
     all_permutations,
     apply_transposition,
@@ -288,6 +290,29 @@ LS_231654 = [
 ]
 
 
+def test_eg_tree_calls_the_traced_names(monkeypatch):
+    # The benchmark's tracer wraps a function at every stanley module
+    # attribute bound to it, so eg_tree must reach mls_tree and
+    # max_pivot_box through those attributes for their calls to count.
+    calls = Counter()
+    modules = [m for key, m in sys.modules.items() if key.partition(".")[0] == "stanley"]
+    for home, name in ((trees, "mls_tree"), (pipedreams, "max_pivot_box")):
+        original = getattr(home, name)
+
+        def wrapper(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+    tree = eg_tree(W231654)
+    internal = sum(not node.leaf for node in tree.nodes)
+    assert internal == 9
+    assert calls == {"mls_tree": 1, "max_pivot_box": internal}
+
+
 def test_ls_tree_231654_structure():
     tree = ls_tree(W231654)
     assert tree.kind == "ls"
@@ -362,6 +387,10 @@ def test_leaf_path():
     assert leaf_path(tree, leaf.id) == path
     with pytest.raises(ValueError):
         leaf_path(tree, 0)
+    assert len(tree.nodes) == 13
+    for bad in (13, -1):
+        with pytest.raises(ValueError, match=f"no node {bad}: the ids run from 0 to 12"):
+            leaf_path(tree, bad)
 
 
 def test_to_json_shapes():
