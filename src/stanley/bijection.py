@@ -68,7 +68,7 @@ def forward_walk(t: Tableau, w: Perm) -> list[Step]:
     """
     if not is_reduced_word_tableau(t, w):
         raise ValueError(
-            f"{format_tableau(t)} is not a reduced word tableau for "
+            f"{format_tableau(t)!r} is not a reduced word tableau for "
             f"{format_permutation(w)}"
         )
     tree = eg_tree(w)

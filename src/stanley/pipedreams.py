@@ -18,12 +18,13 @@ r+-
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NoReturn
 
-from .permutations import Perm, apply_transposition, inverse, length, up_pivots
+from .permutations import Perm, _covers, apply_transposition, inverse, length, up_pivots
 from .polynomials import SparsePoly, _PackedRoots
 
 Box = tuple[int, int]
@@ -62,6 +63,13 @@ _FLAGS = tuple(
 _VERTICAL, _HORIZONTAL = frozenset("|+"), frozenset("-+")
 
 
+# A grid that validate has traced, by (n, rows), for as long as it lives:
+# an equal grid made meanwhile reads its permutation instead of tracing.
+_TRACED: weakref.WeakValueDictionary[
+    tuple[int, tuple[str, ...]], BumplessPipedream
+] = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class BumplessPipedream:
     n: int
@@ -72,8 +80,14 @@ class BumplessPipedream:
 
     @cached_property
     def _traced(self) -> Perm:
-        """The permutation validate traces, kept once it is found."""
-        return _trace(self)
+        """The permutation validate traces, shared by equal live grids."""
+        key = (self.n, self.rows)
+        twin = _TRACED.get(key)
+        if twin is not None:
+            return twin._traced
+        w = _trace(self)
+        _TRACED[key] = self
+        return w
 
     def _boxes(self, kind: str) -> list[Box]:
         """The boxes holding tile kind, in row-major order."""
@@ -142,9 +156,10 @@ def validate(p: BumplessPipedream) -> Perm:
     the boundary rows and columns.  Only when a comparison fails are the
     boxes scanned one by one in row-major order, to name the first fault.
 
-    A pipedream is traced once: its rows never change, so the permutation
-    is kept on the object and every later call on it returns that.  A
-    grid that fails is never kept and raises again on every call.
+    Equal grids share one trace: rows never change, so while a grid that
+    has been traced is alive, any grid with the same n and rows returns
+    its permutation.  Nothing is kept past the last of them, and a grid
+    that fails is never kept and raises again on every call.
     """
     return p._traced
 
@@ -403,10 +418,14 @@ def max_pivot_box(w: Perm) -> tuple[int, int]:
     (5, 6)
     """
     inv = inverse(w)
-    for p, c in sorted(rothe_diagram(w), reverse=True):
-        q = inv[c - 1]
-        if up_pivots(apply_transposition(w, p, q), p):
-            return p, q
+    for p in range(len(w), 0, -1):
+        for c in range(w[p - 1] - 1, 0, -1):
+            q = inv[c - 1]
+            if q <= p:
+                continue  # (p, c) is not in the Rothe diagram
+            v = apply_transposition(w, p, q)
+            if any(_covers(v, i, p) for i in range(1, p)):
+                return p, q
     raise ValueError(f"{w} is dominant: no empty box has a pivot")
 
 

@@ -167,8 +167,9 @@ def little_map(a: Word, k: int, v: int) -> Word:
 
 
 def _start_time(a: Word, k: int, v: int) -> int:
-    """Check the letters of a, its reducedness, k and v, in that order, and
-    return the time at which the lines carrying w_k and v cross in a."""
+    """Check the letters of a, its reducedness, k and v (in range, and not
+    w_k), in that order, and return the time at which the lines carrying
+    w_k and v cross in a."""
     w = evaluate(a)
     if len(a.letters) != length(w):
         raise ValueError(f"word is not reduced: {a.letters}")
@@ -176,6 +177,8 @@ def _start_time(a: Word, k: int, v: int) -> int:
         raise ValueError(f"index k={k} out of range for ambient size {a.n}")
     if not 1 <= v <= a.n:
         raise ValueError(f"value v={v} out of range for ambient size {a.n}")
+    if w[k - 1] == v:
+        raise ValueError(f"value v={v} equals w_{k}, so there are no two lines to bump")
     return crossing_time(a, w[k - 1], v)
 
 

@@ -156,6 +156,8 @@ def test_round_trip_traces_each_pipedream_once(monkeypatch):
         tree = eg_tree(w)
         for leaf in tree.leaves():
             assert gamma(gamma_inverse(leaf.pipedream), w) == leaf.pipedream
-    # traced holds every traced object, so no id is reused while it runs.
+    # traced holds every traced object, so no id is reused while it runs
+    # and every traced grid stays alive: equal rows are never traced again.
     assert traced
     assert len({id(p) for p in traced}) == len(traced)
+    assert len({(p.n, p.rows) for p in traced}) == len(traced)

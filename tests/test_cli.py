@@ -98,6 +98,8 @@ def test_little_inverse_outside_the_image_is_a_usage_error(capsys):
         ("(1,1,2) --k 1 --v 2 --inverse", "word is not reduced: (1, 1, 2)"),
         ("(1,2) --k 2 --v 9 --inverse", "value v=9 out of range for ambient size 3"),
         ("(1,2,1) --k 1 --v 0", "value v=0 out of range for ambient size 3"),
+        ("() --k 1 --v 1", "value v=1 equals w_1, so there are no two lines to bump"),
+        ("(1,2) --k 2 --v 3 --inverse", "value v=3 equals w_2, so there are no two lines to bump"),
     ],
 )
 def test_little_errors_name_the_callers_input(capsys, argv, message):
@@ -243,6 +245,14 @@ def test_bijection_forward_rejects_foreign_tableau(capsys):
     status, _, err = run(capsys, "bijection", "forward", "321654", "1,4,5/2/5")
     assert status == 2
     assert err.startswith("error:")
+
+
+def test_bijection_forward_quotes_an_empty_tableau(capsys):
+    assert run(capsys, "bijection", "forward", "21", "") == (
+        2,
+        "",
+        "error: '' is not a reduced word tableau for 21\n",
+    )
 
 
 def test_verify(capsys):

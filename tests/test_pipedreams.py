@@ -1,7 +1,10 @@
+import gc
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import stanley.pipedreams
 
 from oracles import (
     droop_by_tiles,
@@ -177,11 +180,40 @@ def test_validate_matches_tile_oracle_on_two_substitutions():
 
 
 def test_validate_fresh_copy_agrees():
-    # enumerate_all has traced each p; a copy of its rows is traced anew.
+    # enumerate_all has traced each p; an equal copy would share that
+    # trace, so the copy is traced directly.
     for n in range(1, 6):
         for w in all_permutations(n):
             for p in enumerate_all(w):
-                assert validate(p) == validate(BumplessPipedream(p.n, p.rows)) == w
+                copy = BumplessPipedream(p.n, p.rows)
+                assert validate(p) == stanley.pipedreams._trace(copy) == w
+
+
+def test_validate_keeps_nothing_past_the_last_equal_grid(monkeypatch):
+    traced = []
+    trace = stanley.pipedreams._trace
+
+    def counting(p):
+        traced.append((p.n, p.rows))
+        return trace(p)
+
+    monkeypatch.setattr(stanley.pipedreams, "_trace", counting)
+    gc.collect()
+    rows = rothe((2, 5, 1, 7, 4, 3, 6)).rows
+    p = BumplessPipedream(7, rows)
+    assert validate(p) == validate(BumplessPipedream(7, rows)) == (2, 5, 1, 7, 4, 3, 6)
+    assert len(traced) == 1
+    del p
+    gc.collect()
+    assert validate(BumplessPipedream(7, rows)) == (2, 5, 1, 7, 4, 3, 6)
+    assert traced == [(7, rows)] * 2
+
+
+def test_validate_shares_no_trace_across_sizes():
+    p = BumplessPipedream(2, ("r-", "|r"))
+    assert validate(p) == (1, 2)
+    with pytest.raises(ValueError, match="grid is not 3x3"):
+        validate(BumplessPipedream(3, p.rows))
 
 
 def test_validate_failure_is_not_kept():
