@@ -21,7 +21,6 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, NoReturn
 
 from .permutations import Perm, _covers, apply_transposition, inverse, length, up_pivots
@@ -63,13 +62,6 @@ _FLAGS = tuple(
 _VERTICAL, _HORIZONTAL = frozenset("|+"), frozenset("-+")
 
 
-# A grid that validate has traced, by (n, rows), for as long as it lives:
-# an equal grid made meanwhile reads its permutation instead of tracing.
-_TRACED: weakref.WeakValueDictionary[
-    tuple[int, tuple[str, ...]], BumplessPipedream
-] = weakref.WeakValueDictionary()
-
-
 @dataclass(frozen=True)
 class BumplessPipedream:
     n: int
@@ -77,17 +69,6 @@ class BumplessPipedream:
 
     def tile(self, i: int, j: int) -> str:
         return self.rows[i - 1][j - 1]
-
-    @cached_property
-    def _traced(self) -> Perm:
-        """The permutation validate traces, shared by equal live grids."""
-        key = (self.n, self.rows)
-        twin = _TRACED.get(key)
-        if twin is not None:
-            return twin._traced
-        w = _trace(self)
-        _TRACED[key] = self
-        return w
 
     def _boxes(self, kind: str) -> list[Box]:
         """The boxes holding tile kind, in row-major order."""
@@ -106,6 +87,11 @@ class BumplessPipedream:
 
     def se_elbows(self) -> list[Box]:
         return self._boxes("r")
+
+
+# The permutation validate traced for a grid, for as long as that grid
+# lives.  Grids hash and compare on (n, rows), so equal grids share it.
+_TRACED: weakref.WeakKeyDictionary[BumplessPipedream, Perm] = weakref.WeakKeyDictionary()
 
 
 def rothe(w: Perm) -> BumplessPipedream:
@@ -156,12 +142,17 @@ def validate(p: BumplessPipedream) -> Perm:
     the boundary rows and columns.  Only when a comparison fails are the
     boxes scanned one by one in row-major order, to name the first fault.
 
-    Equal grids share one trace: rows never change, so while a grid that
-    has been traced is alive, any grid with the same n and rows returns
-    its permutation.  Nothing is kept past the last of them, and a grid
-    that fails is never kept and raises again on every call.
+    Equal grids share one trace: rows never change, so a traced grid's
+    permutation is kept in a weak map keyed by the grid, and any grid with
+    the same n and rows reads it there.  The entry goes with the grid
+    that stored it: an equal grid still alive after that one has died is
+    traced again.  A grid that fails is never stored and raises again on
+    every call.
     """
-    return p._traced
+    w = _TRACED.get(p)
+    if w is None:
+        w = _TRACED[p] = _trace(p)
+    return w
 
 
 def _trace(p: BumplessPipedream) -> Perm:

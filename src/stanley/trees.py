@@ -28,6 +28,7 @@ from .pipedreams import (
     droop,
     is_eg,
     max_pivot_box,
+    render,
     rothe,
     rothe_diagram,
 )
@@ -205,8 +206,6 @@ def leaf_path(tree: TransitionTree, leaf: TreeNode | int) -> list[TreeNode]:
 
 
 def to_json(tree: TransitionTree) -> dict:
-    from .pipedreams import render
-
     return {
         "schema": 1,
         "kind": tree.kind,

@@ -38,6 +38,8 @@ def word(letters, n: int | None = None) -> Word:
     if n is None:
         n = least
     elif n < least:
+        if not letters:
+            raise ValueError(f"ambient size {n} is below 1")
         raise ValueError(f"letter {least - 1} does not fit in ambient size {n}")
     return Word(letters, n)
 

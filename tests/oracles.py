@@ -36,12 +36,19 @@ The tuple-key transition computes the double Schubert polynomial by the
 same recursion as the library, multiplying by each root factor x_i - y_j
 on SparsePoly terms keyed by exponent tuples instead of packed ints.
 
+The reduced-word counts run down the weak order without listing a word:
+a reduced word of w ends in a descent d of w, and the rest is a reduced
+word of w s_d.  The same recursion, weighting each word by the product of
+its letters, gives Macdonald's sum, which equals l(w)! S_w(1, ..., 1).
+The hook-length formula counts the standard Young tableaux of a shape.
+
 The pattern tests (containment, vexillary, the Grassmannian shape), the
 reverse-complement and the tile replacement are used by the tests alone.
 """
 
 from collections import Counter
 from itertools import combinations
+from math import factorial, prod
 
 from stanley.permutations import (
     apply_transposition,
@@ -419,6 +426,30 @@ def count_reduced_words(w, memo):
             count_reduced_words(multiply_simple(w, d), memo) for d in down
         )
     return memo[w]
+
+
+def macdonald_sum(w, memo):
+    """The sum over the reduced words of w of the product of their letters,
+    memoised in memo: a word ending in the descent d adds d times a word
+    of w s_d."""
+    if w not in memo:
+        down = descents(w)
+        memo[w] = 1 if not down else sum(
+            d * macdonald_sum(multiply_simple(w, d), memo) for d in down
+        )
+    return memo[w]
+
+
+def conjugate(lam):
+    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0))
+
+
+def hook_length_count(lam):
+    """f^lam, the number of standard Young tableaux of shape lam, by the
+    hook-length formula."""
+    cols = conjugate(lam)
+    hooks = prod(row - j + cols[j] - i - 1 for i, row in enumerate(lam) for j in range(row))
+    return factorial(sum(lam)) // hooks
 
 
 def add_sequences(out, steps, expo, i, prev, c):

@@ -16,7 +16,13 @@ import math
 import random
 import time
 
-from oracles import schubert_by_staircase, schur_poly_by_tableaux, staircase
+from oracles import (
+    conjugate,
+    hook_length_count,
+    schubert_by_staircase,
+    schur_poly_by_tableaux,
+    staircase,
+)
 from stanley.bijection import gamma, gamma_inverse, word_of_pipedream
 from stanley.permutations import (
     all_permutations,
@@ -58,20 +64,6 @@ W321654 = (3, 2, 1, 6, 5, 4)
 
 WORKED_TABLEAU = ((1, 4, 5), (2,), (5,))
 WORKED_GRID = "...r--\n.r-jr-\n.|r-+-\nr+jrjr\n||rjr+\n|||r++"
-
-
-def conjugate(lam):
-    return tuple(sum(1 for row in lam if row > j) for j in range(lam[0] if lam else 0))
-
-
-def hook_length_count(lam):
-    # f^lam, the number of standard Young tableaux of shape lam, by the
-    # hook-length formula.
-    cols = conjugate(lam)
-    hooks = math.prod(
-        row - j + cols[j] - i - 1 for i, row in enumerate(lam) for j in range(row)
-    )
-    return math.factorial(sum(lam)) // hooks
 
 
 def report(num, ok, elapsed, bound=None):

@@ -109,6 +109,11 @@ def test_little_errors_name_the_callers_input(capsys, argv, message):
     assert (status, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_little_empty_word_in_ambient_size_zero(capsys):
+    status, out, err = run(capsys, "little", "", "--k", "1", "--v", "1", "-n", "0")
+    assert (status, out, err) == (2, "", "error: ambient size 0 is below 1\n")
+
+
 def test_little_inverse_failing_inside_the_backward_walk_exits_3(capsys, monkeypatch):
     # The backward walk only meets words in the image, so the same failure
     # there is a fault of the program.

@@ -209,6 +209,12 @@ def test_validate_keeps_nothing_past_the_last_equal_grid(monkeypatch):
     assert traced == [(7, rows)] * 2
 
 
+def test_validate_leaves_the_grid_a_plain_value():
+    p = rothe((2, 5, 1, 7, 4, 3, 6))
+    assert validate(p) == (2, 5, 1, 7, 4, 3, 6)
+    assert vars(p) == {"n": p.n, "rows": p.rows}
+
+
 def test_validate_shares_no_trace_across_sizes():
     p = BumplessPipedream(2, ("r-", "|r"))
     assert validate(p) == (1, 2)

@@ -4,7 +4,7 @@ import re
 import signal
 from collections import Counter
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,11 +12,14 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     compatible_sum,
     complement,
+    conjugate,
     count_reduced_words,
     double_schubert_by_tuples,
     double_staircase,
     grassmannian_shape,
+    hook_length_count,
     is_vexillary,
+    macdonald_sum,
     schubert_by_staircase,
     schur_expand_by_peel,
     schur_poly_by_tableaux,
@@ -617,6 +620,23 @@ def test_factor_recursion_matches_the_grouped_compatible_sum_in_length_variables
             assert stanley_truncated(w) == compatible_sum(w, lambda a: (m,) * len(a)), w
 
 
+def test_macdonald_identity_without_enumeration():
+    # Macdonald: the sum over reduced words of the product of their letters
+    # is l(w)! S_w(1, ..., 1).  S_w(1, ..., 1) is the coefficient sum of the
+    # Schubert polynomial, of the y-free part of the double one, and the
+    # number of bumpless pipedreams.
+    memo = {}
+    perms = [w for n in range(1, 7) for w in all_permutations(n)]
+    assert len(perms) == 873
+    for w in perms:
+        total = macdonald_sum(w, memo)
+        scale = factorial(length(w))
+        assert total == scale * sum(schubert_bjs(w).terms.values()), w
+        if len(w) <= 5:
+            y_free = sum(c for (_, ye), c in double_schubert(w).terms.items() if not ye)
+            assert total == scale * y_free == scale * len(enumerate_all(w)), w
+
+
 _s8_rng = random.Random(8)
 S8_SAMPLE = [tuple(_s8_rng.sample(range(1, 9), 8)) for _ in range(10)]
 
@@ -626,8 +646,20 @@ def test_monomial_route_agrees_past_s7(w):
     assert eg_coeffs(w, "monomial") == eg_coeffs(w), w
 
 
-def conjugate(lam):
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0))
+_count_rng = random.Random(7)
+COUNT_PERMS = [longest_element(7)] + [
+    tuple(_count_rng.sample(range(1, 9), 8)) for _ in range(20)
+]
+
+
+def test_stanley_count_past_s6():
+    # Stanley: #R(w) = sum over lam of a_lam f^lam, with the reduced words
+    # counted down the weak order and f^lam by the hook-length formula.
+    memo = {}
+    for w in COUNT_PERMS:
+        assert count_reduced_words(w, memo) == sum(
+            a * hook_length_count(lam) for lam, a in eg_coeffs(w).items()
+        ), w
 
 
 _rng = random.Random(1984)

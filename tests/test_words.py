@@ -47,6 +47,9 @@ def test_word_constructor_defaults_ambient_size():
     assert word((2, 1), n=4) == Word((2, 1), 4)
     with pytest.raises(ValueError, match="does not fit"):
         word((3, 1), n=3)
+    assert word(()) == Word((), 1)
+    with pytest.raises(ValueError, match="^ambient size 0 is below 1$"):
+        word((), 0)
 
 
 def test_evaluate():
