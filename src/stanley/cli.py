@@ -7,7 +7,8 @@ identical invocations.
 
 Exit status: 0 on success, 1 when `verify` finds a disagreement, 2 for
 input that cannot be parsed or does not fit the command, 3 for an internal
-error (a failed invariant check), which is a bug.
+error (a failed invariant check), which is a bug, and 141 (128 + SIGPIPE)
+when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .bijection import Step, backward_walk, forward_walk, tableau_of_walk
@@ -232,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("permutation")
     f.add_argument("tableau", help='rows separated by "/", e.g. "1,4,5/2/5"')
     f.add_argument("--trace", action="store_true", help="print the word chain")
-    f.add_argument("--render", action="store_true")
-    f.add_argument("--unicode", action="store_true")
+    f.add_argument("--render", action="store_true", help="full grids instead of one-liners")
+    f.add_argument("--unicode", action="store_true", help="box-drawing tiles in renders")
     f.set_defaults(func=cmd_bijection)
     b = direction.add_parser("backward", help="EG-pipedream to reduced word tableau")
     b.add_argument(
@@ -258,6 +260,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader stopped reading, as `head` does.  Stdout now points at
+        # the null device, so that the flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ droops realizing each transition.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from .permutations import (
@@ -74,6 +75,11 @@ class TransitionTree:
         return child
 
 
+# The EG tree of a permutation, for as long as some caller holds it.  A
+# tree is stored only after every check of its build has passed.
+_EG_TREES: weakref.WeakValueDictionary[Perm, TransitionTree] = weakref.WeakValueDictionary()
+
+
 def maximal_transition(w: Perm) -> tuple[int, int, frozenset[int], frozenset[Perm]]:
     """
     The transition at the last descent r of w: s marks the last position
@@ -133,9 +139,18 @@ def eg_tree(w: Perm) -> TransitionTree:
     carry the EG-pipedreams of w.  The nodes are listed parents first, so
     one pass over them droops every child from its parent's pipedream.
 
-    >>> [is_eg(v.pipedream) for v in eg_tree((2, 3, 1, 6, 5, 4)).leaves()]
+    While any caller holds the tree of w, every call for w returns that
+    same object instead of building it again, so it must not be mutated.
+
+    >>> w = (2, 3, 1, 6, 5, 4)
+    >>> [is_eg(v.pipedream) for v in eg_tree(w).leaves()]
     [(3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1)]
+    >>> eg_tree(w) is eg_tree(w)
+    True
     """
+    tree = _EG_TREES.get(w)
+    if tree is not None:
+        return tree
     tree = TransitionTree("eg", mls_tree(w).nodes)
     tree.root.pipedream = rothe(w)
     for node in tree.nodes:
@@ -148,6 +163,7 @@ def eg_tree(w: Perm) -> TransitionTree:
             ), (u, node.perm)
         if node.leaf:
             assert is_eg(node.pipedream) is not None, node.perm
+    _EG_TREES[w] = tree
     return tree
 
 

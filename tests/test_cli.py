@@ -440,17 +440,37 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
-def test_module_entry_point():
+def subprocess_env():
     # The subprocess imports the package from this checkout's src, however
     # the test run itself found it.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "stanley", "expand", "1"],
         capture_output=True,
         text=True,
-        env=env,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "(): 1\n"
+
+
+def test_closed_stdout_exits_141_quietly():
+    # About 104 KB of JSON, more than a pipe holds: after one line is read
+    # and the pipe closed, a later write must fail.
+    argv = ["tree", "3,1,7,2,10,5,4,9,6,8", "--kind", "eg", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stanley", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=subprocess_env(),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import grassmannian_shape
 from stanley import pipedreams, trees
+from stanley.bijection import gamma, gamma_inverse
 from stanley.permutations import (
     all_permutations,
     apply_transposition,
@@ -290,13 +291,12 @@ LS_231654 = [
 ]
 
 
-def test_eg_tree_calls_the_traced_names(monkeypatch):
-    # The benchmark's tracer wraps a function at every stanley module
-    # attribute bound to it, so eg_tree must reach mls_tree and
-    # max_pivot_box through those attributes for their calls to count.
+def count_calls(monkeypatch, *targets):
+    """Count the calls of each (module, name) target, wrapped at every
+    stanley module attribute bound to it, as the benchmark's tracer does."""
     calls = Counter()
     modules = [m for key, m in sys.modules.items() if key.partition(".")[0] == "stanley"]
-    for home, name in ((trees, "mls_tree"), (pipedreams, "max_pivot_box")):
+    for home, name in targets:
         original = getattr(home, name)
 
         def wrapper(*args, name=name, original=original):
@@ -307,10 +307,55 @@ def test_eg_tree_calls_the_traced_names(monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, wrapper)
+    return calls
+
+
+def test_eg_tree_calls_the_traced_names(monkeypatch):
+    # The benchmark's tracer wraps a function at every stanley module
+    # attribute bound to it, so eg_tree must reach mls_tree and
+    # max_pivot_box through those attributes for their calls to count.
+    calls = count_calls(monkeypatch, (trees, "mls_tree"), (pipedreams, "max_pivot_box"))
     tree = eg_tree(W231654)
     internal = sum(not node.leaf for node in tree.nodes)
     assert internal == 9
     assert calls == {"mls_tree": 1, "max_pivot_box": internal}
+
+
+def test_eg_tree_is_shared_while_held(monkeypatch):
+    tree = eg_tree(W231654)
+    calls = count_calls(monkeypatch, (trees, "mls_tree"))
+    assert eg_tree(W231654) is tree
+    assert calls == {}
+
+    # Nothing keeps the tree once its last holder drops it.
+    del tree
+    assert W231654 not in trees._EG_TREES
+    rebuilt = eg_tree(W231654)
+    assert calls == {"mls_tree": 1}
+    assert trees._EG_TREES[W231654] is rebuilt
+
+
+def test_eg_tree_that_fails_a_check_is_not_shared(monkeypatch):
+    monkeypatch.setattr(trees, "is_eg", lambda p: None)
+    for _ in range(2):
+        with pytest.raises(AssertionError):
+            eg_tree(W231654)
+        assert W231654 not in trees._EG_TREES
+
+
+def test_walks_leave_the_shared_tree_unchanged():
+    # gamma reads the tree its caller holds; after a round trip from every
+    # leaf, the tree reads as a tree built afresh.
+    for w in (w for n in range(1, 6) for w in all_permutations(n)):
+        tree = eg_tree(w)
+        before = to_json(tree)
+        for leaf in tree.leaves():
+            assert gamma(gamma_inverse(leaf.pipedream), w) == leaf.pipedream
+        assert trees._EG_TREES[w] is tree
+        assert to_json(tree) == before
+        del tree
+        assert w not in trees._EG_TREES
+        assert to_json(eg_tree(w)) == before, w
 
 
 def test_ls_tree_231654_structure():
