@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, NoReturn
 
 from .permutations import Perm, _covers, apply_transposition, inverse, length, up_pivots
-from .polynomials import SparsePoly, _PackedRoots
 
 Box = tuple[int, int]
 
@@ -418,14 +417,6 @@ def max_pivot_box(w: Perm) -> tuple[int, int]:
             if any(_covers(v, i, p) for i in range(1, p)):
                 return p, q
     raise ValueError(f"{w} is dominant: no empty box has a pivot")
-
-
-def weight(p: BumplessPipedream) -> SparsePoly:
-    """The product of x_i - y_j over the empty boxes (i, j), multiplied in
-    packed form one root factor at a time and unpacked once."""
-    boxes = p.empty_boxes()
-    roots = _PackedRoots(max(p.n - 1, 0), len(boxes))
-    return roots.unpack(roots.product(boxes))
 
 
 def is_eg(p: BumplessPipedream) -> tuple[int, ...] | None:

@@ -49,6 +49,9 @@ from .permutations import (
     multiply_simple,
     perm_from_code,
 )
+from .pipedreams import BumplessPipedream, eg_shape_counts, enumerate_all
+from .tableaux import enumerate_reduced_word_tableaux, shape
+from .trees import mls_tree
 
 Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
@@ -489,6 +492,32 @@ def _double_schubert(
     return out
 
 
+def weight(p: BumplessPipedream) -> SparsePoly:
+    """The weight of p: the product of x_i - y_j over its empty boxes (i, j).
+
+    >>> from stanley.pipedreams import rothe
+    >>> print(weight(rothe((2, 1, 3))))
+    x1 - y1
+    """
+    boxes = p.empty_boxes()
+    roots = _PackedRoots(max(p.n - 1, 0), len(boxes))
+    return roots.unpack(roots.product(boxes))
+
+
+def weights_sum_to_double_schubert(w: Perm, dreams: Iterable[BumplessPipedream]) -> bool:
+    """Whether the weights of dreams sum to double_schubert(w) and, at
+    y = 0, to schubert_bjs(w), compared packed; the transition goes first,
+    so that its memo is freed before the weights are summed.
+
+    >>> weights_sum_to_double_schubert((1, 3, 2), enumerate_all((1, 3, 2)))
+    True
+    """
+    roots = _PackedRoots(max(len(w) - 1, 0), length(w))
+    transition = _double_schubert(w, roots, {})
+    total = roots.sum(roots.product(p.empty_boxes()) for p in dreams)
+    return total == transition and roots.y_free(total) == schubert_bjs(w)
+
+
 @lru_cache(maxsize=None)
 def schur_poly(lam: tuple[int, ...], m: int) -> SparsePoly:
     """
@@ -618,16 +647,10 @@ def eg_coeffs(w: Perm, method: str = "tableaux") -> dict[tuple[int, ...], int]:
     True
     """
     if method == "tableaux":
-        from .tableaux import enumerate_reduced_word_tableaux, shape
-
         shapes = map(shape, enumerate_reduced_word_tableaux(w))
     elif method == "pipedreams":
-        from .pipedreams import eg_shape_counts, enumerate_all
-
         return eg_shape_counts(enumerate_all(w))
     elif method == "mls_leaves":
-        from .trees import mls_tree
-
         shapes = (code_partition(v.perm) for v in mls_tree(w).nodes if v.leaf)
     elif method == "monomial":
         m = max(len(code_partition(w)), 1)

@@ -22,7 +22,9 @@ The tile route validates a bumpless pipedream box by box through
 BumplessPipedream.tile: every kind first, then each box's edges against
 its neighbours and the boundary in row-major order, then a walk of each
 pipe from the south boundary to its east exit.  The droop and the reverse
-droop are checked and carried out the same way, one tile at a time.
+droop are checked and carried out the same way, one tile at a time, with
+rim maps derived from the edges of each tile and the edges the rerouted
+pipe loses and gains, not read from the library's table.
 
 The tableau sum builds the Schur polynomial s_lam(x_1..x_m) from its
 definition: one monomial x^T for every semistandard tableau T of shape
@@ -59,7 +61,7 @@ from stanley.permutations import (
     multiply_simple,
     reduced_words,
 )
-from stanley.pipedreams import _DROOP, _LIFT, EDGES, KIND_NAMES, BumplessPipedream
+from stanley.pipedreams import EDGES, KIND_NAMES, BumplessPipedream
 from stanley.polynomials import SparsePoly, _trim, divided_difference
 from stanley.words import bump_at, delete_letter, is_reduced
 
@@ -309,6 +311,46 @@ def check_boxes_by_tiles(p, *boxes):
             raise ValueError(f"box {box} is outside the {p.n}x{p.n} grid")
 
 
+# The edges the rerouted pipe of a droop loses and gains at each role on
+# the rim of its rectangle: a corner, or a box strictly inside a side.
+REROUTED_EDGES = {
+    "NW": ("SE", ""),
+    "SE": ("", "WN"),
+    "SW": ("N", "E"),
+    "NE": ("W", "S"),
+    "W": ("NS", ""),
+    "E": ("", "NS"),
+    "N": ("WE", ""),
+    "S": ("", "WE"),
+}
+# A corner holds the rerouted pipe alone.  The pipe enters the rectangle
+# from the south at its SW corner and leaves it to the east at its NE
+# corner, before the droop and after; those edges it keeps.
+CORNER_KEEPS = {"NW": "", "SE": "", "SW": "S", "NE": "E"}
+
+
+def droop_rim_maps():
+    """The tile each rim box of a droop holds after it, by role and by the
+    tile before, derived from EDGES: a side box may hold any tile with
+    every edge the pipe loses and none it gains, as a crossing pipe keeps
+    its own edges; a corner holds exactly the edges the pipe loses and
+    keeps."""
+    tile_of = {edges: t for t, edges in EDGES.items()}
+    maps = {}
+    for role, (lost, gained) in REROUTED_EDGES.items():
+        lost, gained = frozenset(lost), frozenset(gained)
+        if role in CORNER_KEEPS:
+            before = [tile_of[lost | frozenset(CORNER_KEEPS[role])]]
+        else:
+            before = [t for t, edges in EDGES.items() if lost <= edges and not edges & gained]
+        maps[role] = {t: tile_of[(EDGES[t] - lost) | gained] for t in before}
+    return maps
+
+
+DROOP_MAPS = droop_rim_maps()
+LIFT_MAPS = {role: {v: k for k, v in m.items()} for role, m in DROOP_MAPS.items()}
+
+
 def reroute_by_tiles(p, northwest, southeast, maps, fault):
     """The rim of the rectangle with the given corners mapped box by box,
     corners first, then the west and east sides, then the north and south."""
@@ -350,7 +392,7 @@ def droop_by_tiles(p, elbow, target):
                 raise ValueError(
                     f"condition (2): the rectangle contains another elbow at ({i},{j})"
                 )
-    out = reroute_by_tiles(p, elbow, target, _DROOP, "condition (3): cannot reroute through")
+    out = reroute_by_tiles(p, elbow, target, DROOP_MAPS, "condition (3): cannot reroute through")
     try:
         traced = validate_by_tiles(out)
     except ValueError as exc:
@@ -379,7 +421,7 @@ def reverse_droop_by_tiles(p, nw):
                 raise ValueError(
                     f"the rectangle contains another elbow at ({i},{j})"
                 )
-    out = reroute_by_tiles(p, (x, y), nw, _LIFT, "cannot lift the pipe through")
+    out = reroute_by_tiles(p, (x, y), nw, LIFT_MAPS, "cannot lift the pipe through")
     traced = validate_by_tiles(out)
     assert traced == validate_by_tiles(p), "reverse droop changed the traced permutation"
     assert droop_by_tiles(out, (x, y), (m, jm)) == p, "reverse droop is not a droop inverse"

@@ -41,7 +41,6 @@ from stanley.pipedreams import (
     render,
     reverse_droop,
     rothe,
-    weight,
 )
 from stanley.polynomials import (
     SparsePoly,
@@ -49,6 +48,7 @@ from stanley.polynomials import (
     eg_coeffs,
     schubert_bjs,
     stanley_truncated,
+    weight,
 )
 from stanley.tableaux import (
     column_reading_word,

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from stanley.cli import main
-from stanley.pipedreams import is_eg, parse
+from stanley.pipedreams import enumerate_all, is_eg, parse
 from stanley.words import little_map_inverse, word
 
 
@@ -270,6 +270,29 @@ def test_verify(capsys):
         "monomial:    (3,2):1 (3,1,1):1 (2,2,1):1 (2,1,1,1):1\n"
         "weight sum:  OK\n"
         "status: OK\n"
+    )
+
+
+def test_verify_fails_when_a_pipedream_is_missing(capsys, monkeypatch):
+    # The last of the 30 bumpless pipedreams of 231654 is not an
+    # EG-pipedream, so the routes still agree and only the weight sum fails.
+    listed = []
+
+    def all_but_the_last(w):
+        listed[:] = enumerate_all(w)
+        return listed[:-1]
+
+    monkeypatch.setattr("stanley.cli.enumerate_all", all_but_the_last)
+    status, out, _ = run(capsys, "verify", "231654")
+    assert len(listed) == 30 and is_eg(listed[-1]) is None
+    assert status == 1
+    assert out == (
+        "tableaux:    (3,2):1 (3,1,1):1 (2,2,1):1 (2,1,1,1):1\n"
+        "pipedreams:  (3,2):1 (3,1,1):1 (2,2,1):1 (2,1,1,1):1\n"
+        "mls_leaves:  (3,2):1 (3,1,1):1 (2,2,1):1 (2,1,1,1):1\n"
+        "monomial:    (3,2):1 (3,1,1):1 (2,2,1):1 (2,1,1,1):1\n"
+        "weight sum:  FAIL\n"
+        "status: FAIL\n"
     )
 
 

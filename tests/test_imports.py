@@ -1,4 +1,5 @@
 import ast
+import graphlib
 import sys
 from pathlib import Path
 
@@ -22,3 +23,37 @@ def test_package_imports_only_the_standard_library():
                 assert top == "__future__" or top in sys.stdlib_module_names, (
                     f"{path.name}:{node.lineno} imports {name}"
                 )
+
+
+def test_every_import_is_at_module_level():
+    # An import inside a function hides a dependency, or a cycle, until
+    # the function runs.
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert node in tree.body, f"{path.name}:{node.lineno} imports below module level"
+
+
+def test_private_names_of_polynomials_stay_in_it():
+    # The packed root-factor kernel and the transition on it are private to
+    # polynomials: other modules call its public functions.
+    for path in SOURCES:
+        if path.name == "polynomials.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module == "polynomials":
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{path.name}:{node.lineno} imports {private}"
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = {
+        path.stem: {
+            node.module
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        }
+        for path in SOURCES
+    }
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle

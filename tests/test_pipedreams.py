@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 import stanley.pipedreams
 
 from oracles import (
+    DROOP_MAPS,
+    LIFT_MAPS,
     droop_by_tiles,
     max_pivot_box_by_pattern,
     pivots_by_rectangle,
@@ -22,6 +24,8 @@ from stanley.permutations import (
 )
 from stanley.pipedreams import (
     BumplessPipedream,
+    _DROOP,
+    _LIFT,
     droop,
     enumerate_all,
     is_eg,
@@ -33,9 +37,8 @@ from stanley.pipedreams import (
     rothe,
     rothe_diagram,
     validate,
-    weight,
 )
-from stanley.polynomials import SparsePoly, double_schubert, schubert_bjs
+from stanley.polynomials import SparsePoly, double_schubert, schubert_bjs, weight
 
 perms = st.integers(min_value=2, max_value=5).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)
@@ -359,6 +362,14 @@ def assert_moves_match_tile_oracle(p, elbows, targets, nws):
         assert move_outcome(reverse_droop, p, nw) == move_outcome(
             reverse_droop_by_tiles, p, nw
         )
+
+
+def test_tile_oracle_derives_the_droop_tables():
+    # The tile oracle builds its rim maps from EDGES and the edges the
+    # rerouted pipe loses and gains, so a wrong entry in the library's
+    # table fails here and in test_droop_matches_tile_oracle.
+    assert DROOP_MAPS == _DROOP
+    assert LIFT_MAPS == _LIFT
 
 
 def test_droop_matches_tile_oracle():

@@ -36,7 +36,7 @@ from stanley.permutations import (
     longest_element,
     reduced_words,
 )
-from stanley.pipedreams import enumerate_all, weight
+from stanley.pipedreams import enumerate_all
 from stanley.polynomials import (
     SparsePoly,
     _PackedRoots,
@@ -47,6 +47,8 @@ from stanley.polynomials import (
     schur_expand,
     schur_poly,
     stanley_truncated,
+    weight,
+    weights_sum_to_double_schubert,
 )
 
 x = SparsePoly.x
@@ -174,11 +176,25 @@ def test_packed_transition_and_weights_match_the_tuple_oracle():
         if len(w) < 6:
             total = SparsePoly.sum(map(weight, dreams))
             assert total == expected and str(total) == str(expected), w
-        # The comparison verify makes, on packed terms.
+        # The check verify makes, and the packed weight sum it compares
+        # against the tuple oracle.
+        assert weights_sum_to_double_schubert(w, dreams), w
         roots = _PackedRoots(len(w) - 1, length(w))
         packed = roots.sum(roots.product(p.empty_boxes()) for p in dreams)
         assert packed == pack(roots, expected), w
         assert roots.y_free(packed) == schubert_bjs(w), w
+
+
+@pytest.mark.parametrize("w", [(1, 3, 2), (2, 3, 1, 6, 5, 4)])
+def test_weight_sum_check_fails_on_a_wrong_list(w, monkeypatch):
+    dreams = enumerate_all(w)
+    assert len(dreams) >= 2
+    assert weights_sum_to_double_schubert(w, dreams)
+    assert not weights_sum_to_double_schubert(w, dreams[:-1])
+    assert not weights_sum_to_double_schubert(w, dreams + dreams[:1])
+    # The y-free comparison alone can fail the check too.
+    monkeypatch.setattr("stanley.polynomials.schubert_bjs", lambda w: SparsePoly.zero())
+    assert not weights_sum_to_double_schubert(w, dreams)
 
 
 def test_display():
