@@ -19,9 +19,8 @@ r+-
 from __future__ import annotations
 
 import weakref
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NoReturn
+from typing import NoReturn
 
 from .permutations import Perm, _covers, apply_transposition, inverse, length, up_pivots
 
@@ -439,9 +438,70 @@ def is_eg(p: BumplessPipedream) -> tuple[int, ...] | None:
     return tuple(row_counts)
 
 
-def eg_shape_counts(dreams: Iterable[BumplessPipedream]) -> dict[tuple[int, ...], int]:
-    """The number of EG-pipedreams of each shape among dreams."""
-    return dict(Counter(lam for lam in map(is_eg, dreams) if lam is not None))
+def eg_row_fills(below: tuple[int, ...], exit: int) -> tuple[int, list[tuple[int, ...]]]:
+    """
+    The fills of one row of an EG-pipedream, from the labels of the pipes
+    entering it from the south (below[j - 1] in column j, 0 for none) and
+    the pipe exit that leaves it to the east: the number k of its empty
+    boxes, and for each fill the labels of the pipes leaving it north.
+
+    The empty boxes of an EG row are a prefix of it, and a box that no
+    pipe enters holds no tile, so the prefix runs up to the first column a
+    pipe enters from the south.  Past it, with h the pipe arriving from
+    the west and s the one from the south (0 for none), a box holds r or |
+    for s alone, j or - for h alone, and + for both when h < s: pipes
+    start in increasing order, so two that meet with h > s have crossed
+    before.  A box that neither enters would be empty, outside the prefix.
+    The exit pipe turns east where it enters and runs to the east end.
+
+    >>> eg_row_fills((1, 2, 0), 1)
+    (0, [(0, 2, 0)])
+    """
+    k = next((j for j, s in enumerate(below) if s), len(below))
+    fills = [((0,) * k, 0)]
+    for s in below[k:]:
+        grown = []
+        for above, h in fills:
+            if not h:
+                if s == exit:
+                    grown.append((above + (0,), s))
+                elif s:
+                    grown += [(above + (0,), s), (above + (s,), 0)]
+            elif not s:
+                grown.append((above + (0,), h))
+                if h != exit:
+                    grown.append((above + (h,), 0))
+            elif h < s and s != exit:
+                grown.append((above + (s,), h))
+        fills = grown
+    return k, [above for above, h in fills if h == exit]
+
+
+def count_eg_pipedreams(w: Perm) -> dict[tuple[int, ...], int]:
+    """
+    The number of EG-pipedreams of w of each shape, sorted by shape,
+    counted up the rows from row n by eg_row_fills without listing any.
+    The state between two rows is the labels of the pipes crossing it, and
+    it carries the number of fills below it of each shape.  No pipe leaves
+    an empty box north, so a row's empty prefix is at least as long as
+    that of the row below it: the prefixes always form a partition.
+
+    >>> count_eg_pipedreams((2, 1, 4, 3))
+    {(1, 1): 1, (2,): 1}
+    """
+    states = {tuple(range(1, len(w) + 1)): {(): 1}}
+    for exit in reversed(w):
+        grown: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for below, shapes in states.items():
+            k, aboves = eg_row_fills(below, exit)
+            if k:
+                shapes = {(k, *lam): c for lam, c in shapes.items()}
+            for above in aboves:
+                counts = grown.setdefault(above, {})
+                for lam, c in shapes.items():
+                    counts[lam] = counts.get(lam, 0) + c
+        states = grown
+    return dict(sorted(states.get((0,) * len(w), {}).items()))
 
 
 def enumerate_all(w: Perm) -> list[BumplessPipedream]:

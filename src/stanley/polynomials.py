@@ -49,7 +49,7 @@ from .permutations import (
     multiply_simple,
     perm_from_code,
 )
-from .pipedreams import BumplessPipedream, eg_shape_counts, enumerate_all
+from .pipedreams import BumplessPipedream, count_eg_pipedreams
 from .tableaux import enumerate_reduced_word_tableaux, shape
 from .trees import mls_tree
 
@@ -509,6 +509,7 @@ def weights_sum_to_double_schubert(w: Perm, dreams: Iterable[BumplessPipedream])
     y = 0, to schubert_bjs(w), compared packed; the transition goes first,
     so that its memo is freed before the weights are summed.
 
+    >>> from stanley.pipedreams import enumerate_all
     >>> weights_sum_to_double_schubert((1, 3, 2), enumerate_all((1, 3, 2)))
     True
     """
@@ -621,7 +622,7 @@ def schur_expand(f: SparsePoly, m: int) -> dict[tuple[int, ...], int]:
     return coeffs
 
 
-def eg_coeffs(w: Perm, method: str = "tableaux") -> dict[tuple[int, ...], int]:
+def eg_coeffs(w: Perm, method: str = "pipedreams") -> dict[tuple[int, ...], int]:
     """
     The Schur expansion coefficients of the Stanley symmetric function of
     w, keyed by partition, by one of four independent routes:
@@ -631,9 +632,13 @@ def eg_coeffs(w: Perm, method: str = "tableaux") -> dict[tuple[int, ...], int]:
     - "mls_leaves": Lehmer codes of the modified transition tree leaves
     - "monomial":   Schur expansion of the truncated Stanley polynomial
 
-    The default "tableaux" route builds the reduced word tableaux down the
-    weak order by EG insertion alone (enumerate_reduced_word_tableaux), so
-    its cost grows with the elements below the inverse of w and their
+    The default "pipedreams" route counts the EG-pipedreams of w by shape
+    with the bumpless row rules (count_eg_pipedreams), listing no
+    pipedream and no tableau.
+
+    The "tableaux" route builds the reduced word tableaux down the weak
+    order by EG insertion alone (enumerate_reduced_word_tableaux), so its
+    cost grows with the elements below the inverse of w and their
     tableaux, not with the number of reduced words.
 
     The "monomial" route truncates F_w to m = max(len(lam), 1) variables,
@@ -649,7 +654,7 @@ def eg_coeffs(w: Perm, method: str = "tableaux") -> dict[tuple[int, ...], int]:
     if method == "tableaux":
         shapes = map(shape, enumerate_reduced_word_tableaux(w))
     elif method == "pipedreams":
-        return eg_shape_counts(enumerate_all(w))
+        return count_eg_pipedreams(w)
     elif method == "mls_leaves":
         shapes = (code_partition(v.perm) for v in mls_tree(w).nodes if v.leaf)
     elif method == "monomial":

@@ -26,6 +26,10 @@ droop are checked and carried out the same way, one tile at a time, with
 rim maps derived from the edges of each tile and the edges the rerouted
 pipe loses and gains, not read from the library's table.
 
+The closure count reads the EG coefficients off a list of bumpless
+pipedreams, such as the droop closure enumerate_all: the number of
+EG-pipedreams of each shape among them (Lam-Lee-Shimozono).
+
 The tableau sum builds the Schur polynomial s_lam(x_1..x_m) from its
 definition: one monomial x^T for every semistandard tableau T of shape
 lam with entries at most m.
@@ -61,7 +65,7 @@ from stanley.permutations import (
     multiply_simple,
     reduced_words,
 )
-from stanley.pipedreams import EDGES, KIND_NAMES, BumplessPipedream
+from stanley.pipedreams import EDGES, KIND_NAMES, BumplessPipedream, is_eg
 from stanley.polynomials import SparsePoly, _trim, divided_difference
 from stanley.words import bump_at, delete_letter, is_reduced
 
@@ -249,6 +253,11 @@ def max_pivot_box_by_pattern(w):
     # q also indexes the largest value below w_p appearing after p.
     assert w[q - 1] == max(v for v in w[p:] if v < w[p - 1]), (w, p, q)
     return p, q
+
+
+def eg_shape_counts(dreams):
+    """The number of EG-pipedreams of each shape among dreams."""
+    return dict(Counter(lam for lam in map(is_eg, dreams) if lam is not None))
 
 
 def validate_by_tiles(p):

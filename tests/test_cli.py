@@ -296,6 +296,21 @@ def test_verify_fails_when_a_pipedream_is_missing(capsys, monkeypatch):
     )
 
 
+def test_verify_checks_the_row_count(capsys, monkeypatch):
+    # The pipedreams line is the default route of eg_coeffs, the row count,
+    # not the droop closure that the weight sum reads.
+    monkeypatch.setattr("stanley.polynomials.count_eg_pipedreams", lambda w: {(3, 2): 2})
+    status, out, _ = run(capsys, "verify", "231654")
+    assert status == 1
+    assert out.splitlines()[1:] == [
+        "pipedreams:  (3,2):2",
+        "mls_leaves:  (3,2):1 (3,1,1):1 (2,2,1):1 (2,1,1,1):1",
+        "monomial:    (3,2):1 (3,1,1):1 (2,2,1):1 (2,1,1,1):1",
+        "weight sum:  OK",
+        "status: FAIL",
+    ]
+
+
 def test_verify_past_s5(capsys):
     status, out, _ = run(capsys, "verify", "1357246")
     assert status == 0

@@ -1,4 +1,6 @@
 import gc
+import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -10,6 +12,7 @@ from oracles import (
     DROOP_MAPS,
     LIFT_MAPS,
     droop_by_tiles,
+    eg_shape_counts,
     max_pivot_box_by_pattern,
     pivots_by_rectangle,
     reverse_droop_by_tiles,
@@ -26,7 +29,9 @@ from stanley.pipedreams import (
     BumplessPipedream,
     _DROOP,
     _LIFT,
+    count_eg_pipedreams,
     droop,
+    eg_row_fills,
     enumerate_all,
     is_eg,
     max_pivot_box,
@@ -38,7 +43,8 @@ from stanley.pipedreams import (
     rothe_diagram,
     validate,
 )
-from stanley.polynomials import SparsePoly, double_schubert, schubert_bjs, weight
+from stanley.polynomials import SparsePoly, double_schubert, eg_coeffs, schubert_bjs, weight
+from stanley.tableaux import _tableaux_of, shape
 
 perms = st.integers(min_value=2, max_value=5).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)
@@ -525,6 +531,55 @@ def test_enumerate_321654():
         (2, 2, 2): 1,
         (2, 2, 1, 1): 1,
     }
+
+
+def test_row_count_matches_the_droop_closure_through_s6():
+    # Lam-Lee-Shimozono: the EG-pipedreams among all bumpless pipedreams
+    # of w, the droop closure of the Rothe pipedream, give a_lam by shape.
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            assert count_eg_pipedreams(w) == eg_shape_counts(enumerate_all(w)), w
+
+
+def test_row_count_matches_the_tableaux_through_s7():
+    # One weak-order memo serves the whole group: the tableaux of every
+    # element of S7 take a tenth of a second, where a fresh memo per
+    # element, as eg_coeffs(w, "tableaux") uses, takes about ten.  The row
+    # count is sorted by shape, the order of the tableaux route.
+    memo = {}
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            tableaux = Counter(map(shape, _tableaux_of(inverse(w), memo)))
+            assert list(count_eg_pipedreams(w).items()) == sorted(tableaux.items()), w
+
+
+_row_rng = random.Random(22)
+PAST_S7 = [
+    tuple(_row_rng.sample(range(1, n + 1), n))
+    for n, count in ((8, 20), (9, 10), (10, 10))
+    for _ in range(count)
+] + [(2, 10, 12, 5, 8, 11, 7, 4, 9, 3, 1, 6)]
+
+
+@pytest.mark.parametrize("w", PAST_S7)
+def test_row_count_matches_the_tree_leaves_past_s7(w):
+    # The last element took the tableaux route 31 s and 1.2 GB.
+    assert eg_coeffs(w) == eg_coeffs(w, "mls_leaves")
+
+
+def test_row_fills():
+    # The rows of rothe(213) = .r- / r+- / ||r, read up from row 3: each
+    # leaves north the labels that enter the row above from the south.
+    assert eg_row_fills((1, 2, 3), 3) == (0, [(1, 2, 0)])
+    assert eg_row_fills((1, 2, 0), 1) == (0, [(0, 2, 0)])
+    assert eg_row_fills((0, 2, 0), 2) == (1, [(0, 0, 0)])
+    # Two fills, r-+jr and rjrjr: pipe 1 goes north in column 4 or 2, and
+    # the last r turns pipe 3 east, out of the row.
+    assert eg_row_fills((1, 0, 2, 0, 3), 3) == (0, [(0, 0, 2, 1, 0), (0, 1, 0, 2, 0)])
+    # A pipe that does not enter the row cannot leave it, and pipe 2
+    # cannot cross pipe 1 from the west: they started in the other order.
+    assert eg_row_fills((0, 2, 0), 1) == (1, [])
+    assert eg_row_fills((2, 1), 2) == (0, [])
 
 
 @given(perms)

@@ -663,7 +663,7 @@ def test_monomial_route_agrees_past_s7(w):
 
 
 _count_rng = random.Random(7)
-COUNT_PERMS = [longest_element(7)] + [
+COUNT_PERMS = [longest_element(7), longest_element(8)] + [
     tuple(_count_rng.sample(range(1, 9), 8)) for _ in range(20)
 ]
 

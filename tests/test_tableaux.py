@@ -197,7 +197,7 @@ S8_SAMPLE = [tuple(_rng.sample(range(1, 9), 8)) for _ in range(20)]
 
 @pytest.mark.parametrize("w", S8_SAMPLE)
 def test_s8_tableaux_route_agrees_with_tree_leaves(w):
-    assert eg_coeffs(w) == eg_coeffs(w, "mls_leaves")
+    assert eg_coeffs(w, "tableaux") == eg_coeffs(w, "mls_leaves")
 
 
 @pytest.mark.parametrize("w", S8_SAMPLE)
