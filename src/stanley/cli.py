@@ -21,12 +21,7 @@ import sys
 
 from .bijection import Step, backward_walk, forward_walk, tableau_of_walk
 from .permutations import format_permutation, parse_permutation
-from .pipedreams import (
-    enumerate_all,
-    is_eg,
-    parse as parse_pipedream,
-    render,
-)
+from .pipedreams import enumerate_all, parse as parse_pipedream, render
 from .polynomials import double_schubert, eg_coeffs, schubert_bjs, weights_sum_to_double_schubert
 from .tableaux import eg_insert, format_tableau, parse_tableau
 from .trees import eg_tree, ls_tree, mls_tree, render_ascii, to_json
@@ -83,9 +78,11 @@ def cmd_little(args) -> int:
 
 def cmd_pipedreams(args) -> int:
     w = parse_permutation(args.permutation)
-    dreams = enumerate_all(w)
     if args.eg_only:
-        dreams = [p for p in dreams if is_eg(p) is not None]
+        # The EG tree's leaves are the EG-pipedreams of w, one per leaf.
+        dreams = sorted((v.pipedream for v in eg_tree(w).leaves()), key=lambda p: p.rows)
+    else:
+        dreams = enumerate_all(w)
     if args.render:
         print("\n\n".join(render(p, unicode=args.unicode) for p in dreams))
     else:

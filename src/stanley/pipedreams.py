@@ -22,7 +22,7 @@ import weakref
 from dataclasses import dataclass
 from typing import NoReturn
 
-from .permutations import Perm, _covers, apply_transposition, inverse, length, up_pivots
+from .permutations import Perm, apply_transposition, inverse, length, up_pivots
 
 Box = tuple[int, int]
 
@@ -412,8 +412,7 @@ def max_pivot_box(w: Perm) -> tuple[int, int]:
             q = inv[c - 1]
             if q <= p:
                 continue  # (p, c) is not in the Rothe diagram
-            v = apply_transposition(w, p, q)
-            if any(_covers(v, i, p) for i in range(1, p)):
+            if up_pivots(apply_transposition(w, p, q), p):
                 return p, q
     raise ValueError(f"{w} is dominant: no empty box has a pivot")
 

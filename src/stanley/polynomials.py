@@ -625,7 +625,8 @@ def schur_expand(f: SparsePoly, m: int) -> dict[tuple[int, ...], int]:
 def eg_coeffs(w: Perm, method: str = "pipedreams") -> dict[tuple[int, ...], int]:
     """
     The Schur expansion coefficients of the Stanley symmetric function of
-    w, keyed by partition, by one of four independent routes:
+    w, keyed by partition and sorted by shape, by one of four independent
+    routes:
 
     - "tableaux":   shapes of the reduced word tableaux of w
     - "pipedreams": shapes of the EG-pipedreams of w
@@ -652,17 +653,17 @@ def eg_coeffs(w: Perm, method: str = "pipedreams") -> dict[tuple[int, ...], int]
     True
     """
     if method == "tableaux":
-        shapes = map(shape, enumerate_reduced_word_tableaux(w))
+        coeffs = Counter(map(shape, enumerate_reduced_word_tableaux(w)))
     elif method == "pipedreams":
         return count_eg_pipedreams(w)
     elif method == "mls_leaves":
-        shapes = (code_partition(v.perm) for v in mls_tree(w).nodes if v.leaf)
+        coeffs = Counter(code_partition(v.perm) for v in mls_tree(w).leaves())
     elif method == "monomial":
         m = max(len(code_partition(w)), 1)
-        return schur_expand(stanley_truncated(w, m), m)
+        coeffs = schur_expand(stanley_truncated(w, m), m)
     else:
         raise ValueError(
             f"unknown method {method!r}: expected tableaux, pipedreams, "
             "mls_leaves, or monomial"
         )
-    return dict(Counter(shapes))
+    return dict(sorted(coeffs.items()))

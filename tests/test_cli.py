@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from stanley.cli import main
-from stanley.pipedreams import enumerate_all, is_eg, parse
+from stanley.permutations import all_permutations, format_permutation
+from stanley.pipedreams import enumerate_all, is_eg, parse, render
 from stanley.words import little_map_inverse, word
 
 
@@ -139,6 +140,22 @@ def test_pipedreams_eg_only(capsys):
     assert "...r--/.r-jr-/.|r-+-/r+jrjr/||rjr+/|||r++" in lines
     for line in lines:
         assert is_eg(parse(line.replace("/", "\n"))) is not None
+
+
+def test_pipedreams_eg_only_equals_the_filtered_closure(capsys):
+    # --eg-only prints the EG tree's leaves; they must be the EG-pipedreams
+    # of the droop closure, grid for grid and in the same order.
+    perms = [w for n in range(1, 7) for w in all_permutations(n)]
+    for w in perms + [(3, 1, 7, 2, 9, 5, 4, 10, 6, 8)]:
+        dreams = [p for p in enumerate_all(w) if is_eg(p) is not None]
+        expected = {
+            (): "\n".join("/".join(p.rows) for p in dreams),
+            ("--render",): "\n\n".join(render(p) for p in dreams),
+            ("--render", "--unicode"): "\n\n".join(render(p, unicode=True) for p in dreams),
+        }
+        for flags, text in expected.items():
+            status, out, _ = run(capsys, "pipedreams", format_permutation(w), "--eg-only", *flags)
+            assert (status, out) == (0, text + "\n"), (w, flags)
 
 
 def test_pipedreams_render_unicode(capsys):

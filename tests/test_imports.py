@@ -35,14 +35,13 @@ def test_every_import_is_at_module_level():
                 assert node in tree.body, f"{path.name}:{node.lineno} imports below module level"
 
 
-def test_private_names_of_polynomials_stay_in_it():
-    # The packed root-factor kernel and the transition on it are private to
-    # polynomials: other modules call its public functions.
+def test_private_names_stay_in_their_module():
+    # A name with a leading underscore is private to the module that
+    # defines it, such as the packed root-factor kernel of polynomials:
+    # other modules call its public functions.
     for path in SOURCES:
-        if path.name == "polynomials.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ImportFrom) and node.level and node.module == "polynomials":
+            if isinstance(node, ast.ImportFrom) and node.level:
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, f"{path.name}:{node.lineno} imports {private}"
 

@@ -527,6 +527,17 @@ def test_eg_coeffs_dominant_and_identity():
         eg_coeffs((2, 1), "guess")
 
 
+def test_every_route_sorts_its_coefficients_by_shape():
+    # Equal dicts may still list their keys in different orders; every
+    # route lists them in the same order, sorted by shape.
+    perms = [w for n in range(1, 6) for w in all_permutations(n)]
+    for w in perms + [(2, 3, 1, 6, 5, 4), (3, 2, 1, 6, 5, 4), (7, 4, 2, 1, 8, 3, 6, 5)]:
+        keys = list(eg_coeffs(w))
+        assert keys == sorted(keys), w
+        for method in ("tableaux", "mls_leaves", "monomial"):
+            assert list(eg_coeffs(w, method)) == keys, (w, method)
+
+
 WINDOW_PERMS = (
     [w for n in range(1, 6) for w in all_permutations(n)]
     + [w for w in all_permutations(6) if length(w) <= 10]
