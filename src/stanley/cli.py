@@ -102,8 +102,10 @@ def cmd_tree(args) -> int:
 
 
 def _read_pipedream(text: str):
+    """A grid from the argument, or from stdin for "-", with its rows on
+    lines of their own or joined by "/" on one line."""
     if text == "-":
-        return parse_pipedream(sys.stdin.read())
+        text = sys.stdin.read()
     return parse_pipedream(text.replace("/", "\n"))
 
 

@@ -97,13 +97,18 @@ def descents(w: Perm) -> list[int]:
 def is_dominant(w: Perm) -> bool:
     """
     132-avoiding, read off the equivalent condition: a weakly decreasing
-    Lehmer code.
+    Lehmer code, computed entry by entry up to its first rise.
 
     >>> is_dominant((3, 4, 2, 1)), is_dominant((1, 3, 2))
     (True, False)
     """
-    code = lehmer_code(w)
-    return all(a >= b for a, b in zip(code, code[1:]))
+    previous = len(w)
+    for i, a in enumerate(w, start=1):
+        c = sum(map(a.__gt__, w[i:]))
+        if c > previous:
+            return False
+        previous = c
+    return True
 
 
 def is_grassmannian(w: Perm) -> bool:

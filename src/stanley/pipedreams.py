@@ -56,6 +56,10 @@ _FLAGS = tuple(
     str.maketrans({t: "1" if t in side else "0" for t in (*EDGES, "\n")})
     for side in (_NORTH, _SOUTH, _EAST, _WEST | {"\n"})
 )
+# The tiles of a Rothe row west and east of its elbow, by column flag: "1"
+# where a ray south from an elbow above crosses the row.
+_WEST_OF_ELBOW = str.maketrans("01", ".|")
+_EAST_OF_ELBOW = str.maketrans("01", "-+")
 # The tiles a pipe runs straight through, north-south and west-east.
 _VERTICAL, _HORIZONTAL = frozenset("|+"), frozenset("-+")
 
@@ -70,12 +74,13 @@ class BumplessPipedream:
 
     def _boxes(self, kind: str) -> list[Box]:
         """The boxes holding tile kind, in row-major order."""
-        return [
-            (i, j)
-            for i, row in enumerate(self.rows, start=1)
-            for j, t in enumerate(row, start=1)
-            if t == kind
-        ]
+        boxes = []
+        for i, row in enumerate(self.rows, start=1):
+            j = row.find(kind)
+            while j >= 0:
+                boxes.append((i, j + 1))
+                j = row.find(kind, j + 1)
+        return boxes
 
     def empty_boxes(self) -> list[Box]:
         return self._boxes(".")
@@ -97,26 +102,17 @@ def rothe(w: Perm) -> BumplessPipedream:
     The droop-free pipedream of w: an SE elbow at each (i, w_i) with rays
     east and south, crossing where rays meet.  Its empty boxes are the
     Rothe diagram of w.
+
+    Row i reads off the columns already holding a ray south, the columns
+    w_k for k < i, kept as a string of flags: "1" for such a column.
     """
-    n = len(w)
-    inv = inverse(w)
+    columns = "0" * len(w)
     grid = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if j == w[i - 1]:
-                row.append("r")
-            else:
-                horizontal = j > w[i - 1]
-                vertical = i > inv[j - 1]
-                row.append(
-                    "+" if horizontal and vertical
-                    else "-" if horizontal
-                    else "|" if vertical
-                    else "."
-                )
-        grid.append("".join(row))
-    return BumplessPipedream(n, tuple(grid))
+    for c in w:
+        west, east = columns[:c - 1], columns[c:]
+        grid.append(west.translate(_WEST_OF_ELBOW) + "r" + east.translate(_EAST_OF_ELBOW))
+        columns = west + "1" + east
+    return BumplessPipedream(len(w), tuple(grid))
 
 
 def rothe_diagram(w: Perm) -> frozenset[Box]:

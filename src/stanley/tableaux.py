@@ -21,10 +21,9 @@ from typing import Iterable
 
 from .permutations import (
     Perm,
-    code_partition,
     descents,
     inverse,
-    is_dominant,
+    lehmer_code,
     length,
     multiply_simple,
 )
@@ -83,10 +82,9 @@ def column_reading_word(t: Tableau) -> tuple[int, ...]:
     >>> column_reading_word(((1, 4, 5), (2,), (5,)))
     (5, 4, 1, 2, 5)
     """
-    out: list[int] = []
-    for col in reversed(transpose(t)):
-        out.extend(col)
-    return tuple(out)
+    if not t:
+        return ()
+    return tuple([row[j] for j in reversed(range(len(t[0]))) for row in t if len(row) > j])
 
 
 def _row_insert(rows: list[list[int]], x: int) -> int:
@@ -132,10 +130,7 @@ def eg_insert(letters: Iterable[int]) -> tuple[Tableau, Tableau]:
             recording.append([time])
         else:
             recording[r].append(time)
-    return (
-        tuple(tuple(row) for row in rows),
-        tuple(tuple(row) for row in recording),
-    )
+    return tuple(map(tuple, rows)), tuple(map(tuple, recording))
 
 
 def insertion_tableau(letters: Iterable[int]) -> Tableau:
@@ -206,12 +201,12 @@ def frozen_tableau(w: Perm) -> Tableau:
     >>> frozen_tableau((4, 2, 3, 1, 5, 6))
     ((1, 2, 3), (2,), (3,))
     """
-    if not is_dominant(w):
+    code = lehmer_code(w)
+    if any(a < b for a, b in zip(code, code[1:])):
         raise ValueError(f"{w} is not dominant")
-    lam = code_partition(w)
+    # A weakly decreasing code is its own partition once the zeros go.
     return tuple(
-        tuple(i + j - 1 for j in range(1, part + 1))
-        for i, part in enumerate(lam, start=1)
+        tuple(range(i, i + part)) for i, part in enumerate(code, start=1) if part
     )
 
 

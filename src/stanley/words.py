@@ -69,6 +69,12 @@ def is_reduced(a: Word) -> bool:
 def crossing_pairs(a: Word) -> list[tuple[int, int]]:
     """The pair of values interchanged at each time, as (smaller, larger);
     they are distinct exactly when the word is reduced."""
+    return _crossings(a)[1]
+
+
+def _crossings(a: Word) -> tuple[Perm, list[tuple[int, int]]]:
+    """One pass over the letters of a: the permutation it evaluates to and
+    its crossing_pairs."""
     window = list(range(1, a.n + 1))
     pairs = []
     for t in a.letters:
@@ -77,18 +83,7 @@ def crossing_pairs(a: Word) -> list[tuple[int, int]]:
         u, v = window[t - 1], window[t]
         pairs.append((u, v) if u < v else (v, u))
         window[t - 1], window[t] = v, u
-    return pairs
-
-
-def crossing_time(a: Word, u: int, v: int) -> int:
-    """
-    The unique 1-based time at which the lines carrying values u and v cross.
-    """
-    wanted = (min(u, v), max(u, v))
-    times = [t for t, pair in enumerate(crossing_pairs(a), start=1) if pair == wanted]
-    if len(times) != 1:
-        raise ValueError(f"values {wanted} cross {len(times)} times in {a.letters}")
-    return times[0]
+    return tuple(window), pairs
 
 
 def delete_letter(a: Word, t: int) -> Word:
@@ -170,18 +165,24 @@ def little_map(a: Word, k: int, v: int) -> Word:
 
 def _start_time(a: Word, k: int, v: int) -> int:
     """Check the letters of a, its reducedness, k and v (in range, and not
-    w_k), in that order, and return the time at which the lines carrying
-    w_k and v cross in a."""
-    w = evaluate(a)
+    w_k), in that order, and return the unique 1-based time at which the
+    lines carrying w_k and v cross in a.  One pass over a gives both w and
+    the crossings."""
+    w, pairs = _crossings(a)
     if len(a.letters) != length(w):
         raise ValueError(f"word is not reduced: {a.letters}")
     if not 1 <= k <= a.n:
         raise ValueError(f"index k={k} out of range for ambient size {a.n}")
     if not 1 <= v <= a.n:
         raise ValueError(f"value v={v} out of range for ambient size {a.n}")
-    if w[k - 1] == v:
+    u = w[k - 1]
+    if u == v:
         raise ValueError(f"value v={v} equals w_{k}, so there are no two lines to bump")
-    return crossing_time(a, w[k - 1], v)
+    wanted = (min(u, v), max(u, v))
+    times = [t for t, pair in enumerate(pairs, start=1) if pair == wanted]
+    if len(times) != 1:
+        raise ValueError(f"values {wanted} cross {len(times)} times in {a.letters}")
+    return times[0]
 
 
 def reverse(a: Word) -> Word:
@@ -197,7 +198,7 @@ def complement_word(a: Word) -> Word:
     for t in a.letters:
         if not 1 <= t < a.n:
             raise ValueError(f"letter {t} out of range for ambient size {a.n}")
-    return Word(tuple(a.n - x for x in a.letters), a.n)
+    return Word(tuple([a.n - x for x in a.letters]), a.n)
 
 
 def little_map_inverse(a: Word, k: int, v: int) -> Word:

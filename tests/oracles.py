@@ -50,6 +50,12 @@ The hook-length formula counts the standard Young tableaux of a shape.
 
 The pattern tests (containment, vexillary, the Grassmannian shape), the
 reverse-complement and the tile replacement are used by the tests alone.
+
+The primitive definitions are the plain forms of the library's small
+helpers: the column word read off the transpose, dominance as a weakly
+decreasing Lehmer code computed in full, the boxes of a tile kind found by
+testing every character of the grid in row-major order, and the frozen
+tableau built on the shape code_partition.
 """
 
 from collections import Counter
@@ -58,8 +64,10 @@ from math import factorial, prod
 
 from stanley.permutations import (
     apply_transposition,
+    code_partition,
     descents,
     last_descent_step,
+    lehmer_code,
     length,
     longest_element,
     multiply_simple,
@@ -67,6 +75,7 @@ from stanley.permutations import (
 )
 from stanley.pipedreams import EDGES, KIND_NAMES, BumplessPipedream, is_eg
 from stanley.polynomials import SparsePoly, _trim, divided_difference
+from stanley.tableaux import transpose
 from stanley.words import bump_at, delete_letter, is_reduced
 
 
@@ -569,3 +578,39 @@ def double_schubert_by_tuples(w, memo):
         ])
     return memo[w]
 
+
+def column_reading_word_by_transpose(t):
+    """The columns of t, each read top to bottom, from the rightmost one
+    leftwards, as the rows of its transpose."""
+    out = []
+    for col in reversed(transpose(t)):
+        out.extend(col)
+    return tuple(out)
+
+
+def is_dominant_by_code(w):
+    """Whether the whole Lehmer code of w is weakly decreasing."""
+    code = lehmer_code(w)
+    return all(a >= b for a, b in zip(code, code[1:]))
+
+
+def boxes_by_scan(p, kind):
+    """The boxes of p holding tile kind, testing every character of the
+    grid in row-major order."""
+    return [
+        (i, j)
+        for i, row in enumerate(p.rows, start=1)
+        for j, t in enumerate(row, start=1)
+        if t == kind
+    ]
+
+
+def frozen_tableau_by_code_partition(w):
+    """The frozen tableau of a dominant w: i + j - 1 in cell (i, j) of the
+    shape code_partition(w); ValueError when w is not dominant."""
+    if not is_dominant_by_code(w):
+        raise ValueError(f"{w} is not dominant")
+    return tuple(
+        tuple(i + j - 1 for j in range(1, part + 1))
+        for i, part in enumerate(code_partition(w), start=1)
+    )

@@ -11,9 +11,10 @@ from stanley.bijection import (
     gamma_inverse,
     word_of_pipedream,
 )
-from stanley.permutations import all_permutations, identity, is_dominant
+from stanley.permutations import all_permutations, identity, inverse, is_dominant
 from stanley.pipedreams import enumerate_all, is_eg, parse, rothe, validate
 from stanley.tableaux import (
+    _tableaux_of,
     column_reading_word,
     enumerate_reduced_word_tableaux,
     frozen_tableau,
@@ -129,6 +130,27 @@ def test_theorem_on_all_of_s6():
             assert is_eg(p) == shape(t) and gamma_inverse(p) == t, (w, t)
         tableaux += len(tabs)
     assert tableaux == 1007
+
+
+def test_theorem_on_all_of_s7():
+    # The assertions of the S6 test on every w in S7.  The tableaux come
+    # from one weak-order memo shared across the group, and the
+    # EG-pipedreams from the leaves of the EG tree, which equal the
+    # filtered closure on S1-S6 (tests/test_cli.py).
+    memo = {}
+    tableaux = 0
+    for w in all_permutations(7):
+        tabs = _tableaux_of(inverse(w), memo)
+        tree = eg_tree(w)
+        leaves = [leaf.pipedream for leaf in tree.leaves()]
+        egs = set(leaves)
+        assert len(egs) == len(leaves), w
+        images = [gamma(t, w) for t in tabs]
+        assert len(set(images)) == len(tabs) and set(images) == egs, w
+        for t, p in zip(tabs, images):
+            assert is_eg(p) == shape(t) and gamma_inverse(p) == t, (w, t)
+        tableaux += len(tabs)
+    assert tableaux == 9361
 
 
 def test_roundtrip_231654():

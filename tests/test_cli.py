@@ -256,11 +256,14 @@ def test_bijection_forward_trace_through_branching_nodes(capsys):
 
 
 def test_bijection_backward_stdin(capsys, monkeypatch):
-    grid = "...r--\n.r-jr-\n.|r-+-\nr+jrjr\n||rjr+\n|||r++\n"
-    monkeypatch.setattr("sys.stdin", io.StringIO(grid))
-    status, out, _ = run(capsys, "bijection", "backward", "-")
-    assert status == 0
-    assert out == "1,4,5/2/5\n"
+    # One row per line, or the one-line form that pipedreams and
+    # bijection forward print.
+    rows = ("...r--", ".r-jr-", ".|r-+-", "r+jrjr", "||rjr+", "|||r++")
+    for grid in ("\n".join(rows) + "\n", "/".join(rows) + "\n"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(grid))
+        status, out, _ = run(capsys, "bijection", "backward", "-")
+        assert status == 0
+        assert out == "1,4,5/2/5\n"
 
 
 def test_bijection_forward_rejects_foreign_tableau(capsys):

@@ -3,7 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import complement, contains_pattern, grassmannian_shape, is_vexillary
+from oracles import (
+    complement,
+    contains_pattern,
+    grassmannian_shape,
+    is_dominant_by_code,
+    is_vexillary,
+)
 from stanley.permutations import (
     all_permutations,
     apply_transposition,
@@ -135,6 +141,14 @@ def test_dominant_is_132_avoiding():
     for n in range(1, 9):
         for w in all_permutations(n):
             assert is_dominant(w) == (not contains_pattern(w, (1, 3, 2))), w
+
+
+def test_is_dominant_matches_the_whole_code():
+    # Stopping at the first rise of the code answers as the whole code
+    # does, on every element of S1-S7.
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            assert is_dominant(w) == is_dominant_by_code(w), w
 
 
 @given(perms)

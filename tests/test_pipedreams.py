@@ -11,6 +11,7 @@ import stanley.pipedreams
 from oracles import (
     DROOP_MAPS,
     LIFT_MAPS,
+    boxes_by_scan,
     droop_by_tiles,
     eg_shape_counts,
     max_pivot_box_by_pattern,
@@ -109,6 +110,16 @@ def test_rothe_properties(w):
     boxes = frozenset(p.empty_boxes())
     assert boxes == rothe_diagram(w)
     assert len(boxes) == length(w)
+
+
+def test_boxes_match_the_character_scan():
+    # Every bumpless pipedream of S1-S5: the same boxes in the same order.
+    dreams = [p for n in range(1, 6) for w in all_permutations(n) for p in enumerate_all(w)]
+    assert len(dreams) == 1 + 2 + 7 + 41 + 393
+    for p in dreams:
+        assert p.empty_boxes() == boxes_by_scan(p, ".")
+        assert p.se_elbows() == boxes_by_scan(p, "r")
+        assert p.nw_elbows() == boxes_by_scan(p, "j")
 
 
 def test_validate_errors():

@@ -1,10 +1,16 @@
 import random
+import re
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import count_reduced_words
+from oracles import (
+    column_reading_word_by_transpose,
+    count_reduced_words,
+    frozen_tableau_by_code_partition,
+    is_dominant_by_code,
+)
 from stanley.permutations import (
     all_permutations,
     inverse,
@@ -13,6 +19,7 @@ from stanley.permutations import (
 )
 from stanley.polynomials import eg_coeffs
 from stanley.tableaux import (
+    _tableaux_of,
     column_reading_word,
     eg_insert,
     enumerate_reduced_word_tableaux,
@@ -87,6 +94,20 @@ def test_reading_words():
     assert column_reading_word(t) == (5, 4, 1, 2, 5)
     assert row_reading_word(()) == ()
     assert column_reading_word(()) == ()
+
+
+def test_column_reading_word_matches_the_transpose_reading():
+    # Every reduced word tableau of S1-S6, from one shared memo.
+    memo = {}
+    tableaux = [
+        t
+        for n in range(1, 7)
+        for w in all_permutations(n)
+        for t in _tableaux_of(inverse(w), memo)
+    ]
+    assert len(tableaux) == 1 + 2 + 6 + 25 + 139 + 1007
+    for t in tableaux:
+        assert column_reading_word(t) == column_reading_word_by_transpose(t), t
 
 
 def test_row_word_of_insertion_stays_reduced_for_same_permutation():
@@ -242,6 +263,23 @@ def test_frozen_tableau():
     assert frozen_tableau((1, 2, 3)) == ()
     with pytest.raises(ValueError, match="not dominant"):
         frozen_tableau((1, 3, 2, 4))
+
+
+def test_frozen_tableau_matches_the_code_partition():
+    # Every element of S1-S6: the same tableau when dominant, and the same
+    # error otherwise.
+    dominant = 0
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            if is_dominant_by_code(w):
+                assert frozen_tableau(w) == frozen_tableau_by_code_partition(w), w
+                dominant += 1
+                continue
+            for build in (frozen_tableau, frozen_tableau_by_code_partition):
+                with pytest.raises(ValueError, match=f"^{re.escape(str(w))} is not dominant$"):
+                    build(w)
+    # The dominant elements of S_n are counted by the Catalan numbers.
+    assert dominant == 1 + 2 + 5 + 14 + 42 + 132
 
 
 def test_frozen_tableau_is_the_unique_one():

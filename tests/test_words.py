@@ -11,7 +11,6 @@ from stanley.words import (
     bump_at,
     complement_word,
     crossing_pairs,
-    crossing_time,
     delete_letter,
     evaluate,
     format_word,
@@ -115,14 +114,19 @@ def test_crossing_pairs():
             crossing_pairs(Word(letters, 3))
 
 
-def test_crossing_time():
+def test_little_map_starts_at_the_one_crossing():
+    # The lines carrying 3 and 6 cross once, at time 4, whichever of the
+    # two is w_k; the lines carrying 5 and 6 never cross.
     a = Word((3, 1, 4, 5, 2), 6)
-    assert crossing_time(a, 6, 3) == 4
-    assert crossing_time(a, 3, 6) == 4
-    with pytest.raises(ValueError, match="cross 0 times"):
-        crossing_time(a, 5, 6)
-    with pytest.raises(ValueError, match="letter 0 out of range"):
-        crossing_time(Word((0,), 3), 1, 3)
+    assert evaluate(a) == (2, 4, 1, 5, 6, 3)
+    assert little_map(a, 5, 3) == little_map(a, 6, 6) == little_bump(a, 4)
+    for theta in (little_map, little_map_inverse):
+        with pytest.raises(
+            ValueError, match=r"^values \(5, 6\) cross 0 times in \(3, 1, 4, 5, 2\)$"
+        ):
+            theta(a, 4, 6)
+        with pytest.raises(ValueError, match="letter 0 out of range"):
+            theta(Word((0,), 3), 1, 3)
 
 
 def test_bump_at():
