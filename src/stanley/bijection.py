@@ -10,12 +10,14 @@ droops consume the NW elbows smallest-first, and inverting the Little maps
 in the same order carries the frozen tableau's column word back up to a
 reduced word of the original permutation.  Each walk is returned as a
 list of Step records, one for the start and one per box consumed, and
-every consumer (``gamma``, ``word_of_pipedream``, ``tableau_of_walk``,
-the command line trace) reads those records.
+every consumer (``gamma``, ``gamma_inverse``, ``word_of_pipedream``, the
+command line) reads those records.
 
 Two facts are asserted at every step of either word chain: the recording
 tableau of the reversed word never changes, and the insertion tableau of
-the reversed word has the current word as its column reading word.
+the reversed word has the current word as its column reading word.  Each
+step keeps that insertion tableau; at step 0 it is the tableau the walk
+starts from, and at the last step the one it ends on.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .tableaux import (
     eg_insert,
     format_tableau,
     frozen_tableau,
-    insertion_tableau,
     is_reduced_word_tableau,
     shape,
 )
@@ -38,22 +39,25 @@ from .trees import eg_tree
 from .words import Word, evaluate, little_map, little_map_inverse, reverse
 
 
-def _check_chain_step(tau: Word, recording: Tableau) -> None:
+def _check_chain_step(tau: Word, recording: Tableau) -> Tableau:
     p, q = eg_insert(reverse(tau).letters)
     assert q == recording, "recording tableau drifted along the word chain"
     assert column_reading_word(p) == tau.letters, "column word not recovered"
+    return p
 
 
 class Step(NamedTuple):
     """
     One record of a walk: the box consumed to get here (None at the
-    start), the word, the permutation it evaluates to, and the pipedream.
+    start), the word, the permutation it evaluates to, the pipedream, and
+    the insertion tableau of the reversed word.
     """
 
     box: tuple[int, int] | None
     word: Word
     perm: Perm
     pipedream: BumplessPipedream
+    tableau: Tableau
 
 
 def forward_walk(t: Tableau, w: Perm) -> list[Step]:
@@ -74,21 +78,22 @@ def forward_walk(t: Tableau, w: Perm) -> list[Step]:
     tree = eg_tree(w)
     node = tree.root
     tau = Word(column_reading_word(t), len(w))
-    _, recording = eg_insert(reverse(tau).letters)
-    steps = [Step(None, tau, w, node.pipedream)]
+    start, recording = eg_insert(reverse(tau).letters)
+    assert start == t, "step 0 does not hold the tableau the walk starts from"
+    steps = [Step(None, tau, w, node.pipedream, start)]
     while not node.leaf:
         u = node.perm
         p, q, _ = tree.nodes[node.children[0]].move
         box = (p, u[q - 1])
         tau = little_map(tau, *box)
         assert tau.n == len(w), "the bump chain never leaves the ambient size"
-        _check_chain_step(tau, recording)
+        tableau = _check_chain_step(tau, recording)
         target = evaluate(tau)
         matches = [c for c in node.children if tree.nodes[c].perm == target]
         assert len(matches) == 1, (u, target)
         node = tree.nodes[matches[0]]
-        steps.append(Step(box, tau, node.perm, node.pipedream))
-    assert tau.letters == column_reading_word(frozen_tableau(node.perm))
+        steps.append(Step(box, tau, node.perm, node.pipedream, tableau))
+    assert steps[-1].tableau == frozen_tableau(node.perm)
     assert is_eg(node.pipedream) == shape(t), "shape drifted across the walk"
     return steps
 
@@ -112,7 +117,8 @@ def backward_walk(p: BumplessPipedream) -> list[Step]:
     order, carry the frozen column word of the dominant leaf back up.
     Step 0 is that word at the leaf with p itself; step k holds the k-th
     box consumed, the word after its inverse Little map, the permutation
-    of that word, and the pipedream after k reverse droops.
+    of that word, and the pipedream after k reverse droops.  The last step
+    holds the reduced word tableau of p.
 
     >>> [(s.box, s.perm) for s in backward_walk(rothe((2, 1, 3)))]
     [(None, (2, 1, 3))]
@@ -133,9 +139,11 @@ def backward_walk(p: BumplessPipedream) -> list[Step]:
 
     leaf = perm_from_code(lam + (0,) * (p.n - len(lam)))
     assert code_partition(leaf) == lam
-    tau = Word(column_reading_word(frozen_tableau(leaf)), p.n)
-    _, recording = eg_insert(reverse(tau).letters)
-    steps = [Step(None, tau, leaf, p)]
+    frozen = frozen_tableau(leaf)
+    tau = Word(column_reading_word(frozen), p.n)
+    start, recording = eg_insert(reverse(tau).letters)
+    assert start == frozen, "step 0 does not hold the tableau the walk starts from"
+    steps = [Step(None, tau, leaf, p, start)]
     for box, dream in zip(boxes, dreams[1:]):
         try:
             tau = little_map_inverse(tau, *box)
@@ -143,9 +151,12 @@ def backward_walk(p: BumplessPipedream) -> list[Step]:
             # The chain stays in the image by construction: a fault here
             # is the program's, not the input's.
             raise AssertionError(f"inverse Little map failed at {box}: {exc}") from exc
-        _check_chain_step(tau, recording)
-        steps.append(Step(box, tau, evaluate(tau), dream))
+        tableau = _check_chain_step(tau, recording)
+        steps.append(Step(box, tau, evaluate(tau), dream, tableau))
     assert steps[-1].perm == w, "inverse chain missed the traced permutation"
+    t = steps[-1].tableau
+    assert shape(t) == lam, "shape drifted across the walk"
+    assert is_reduced_word_tableau(t, w)
     return steps
 
 
@@ -160,25 +171,12 @@ def word_of_pipedream(p: BumplessPipedream) -> Word:
     return backward_walk(p)[-1].word
 
 
-def tableau_of_walk(walk: list[Step]) -> Tableau:
-    """
-    The reduced word tableau a backward walk stands for: the insertion
-    tableau of its last word, read in reverse.  It has the shape of the
-    walk's EG-pipedream.
-    """
-    tau = walk[-1].word
-    out = insertion_tableau(reverse(tau).letters)
-    assert shape(out) == is_eg(walk[0].pipedream), "shape drifted across the walk"
-    assert is_reduced_word_tableau(out, evaluate(tau))
-    return out
-
-
 def gamma_inverse(p: BumplessPipedream) -> Tableau:
     """
-    Map an EG-pipedream back to the reduced word tableau of the same shape,
-    read off its backward walk.
+    Map an EG-pipedream back to the reduced word tableau of the same shape:
+    the tableau at the end of the backward walk.
 
     >>> gamma_inverse(rothe((3, 1, 2)))
     ((1, 2),)
     """
-    return tableau_of_walk(backward_walk(p))
+    return backward_walk(p)[-1].tableau

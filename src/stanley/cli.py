@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .bijection import Step, backward_walk, forward_walk, tableau_of_walk
+from .bijection import Step, backward_walk, forward_walk
 from .permutations import format_permutation, parse_permutation
 from .pipedreams import enumerate_all, parse as parse_pipedream, render
 from .polynomials import double_schubert, eg_coeffs, schubert_bjs, weights_sum_to_double_schubert
@@ -129,7 +129,6 @@ def cmd_bijection(args) -> int:
         return 0
 
     walk = backward_walk(_read_pipedream(args.pipedream))
-    t = tableau_of_walk(walk)
     if args.trace:
         for step in walk[1:]:
             print(
@@ -140,7 +139,7 @@ def cmd_bijection(args) -> int:
         for step in walk[1:]:
             print(f"theta-inv[{step.box[0]},{step.box[1]}]: {_chain_line(step)}")
         print(f"w(P): {format_word(walk[-1].word.letters)}")
-    print(format_tableau(t))
+    print(format_tableau(walk[-1].tableau))
     return 0
 
 

@@ -56,14 +56,6 @@ def is_increasing(t: Tableau) -> bool:
     return True
 
 
-def transpose(t: Tableau) -> Tableau:
-    if not t:
-        return ()
-    return tuple(
-        tuple(row[j] for row in t if len(row) > j) for j in range(len(t[0]))
-    )
-
-
 def row_reading_word(t: Tableau) -> tuple[int, ...]:
     """Rows read left to right, from the bottom row up.
 

@@ -52,10 +52,10 @@ The pattern tests (containment, vexillary, the Grassmannian shape), the
 reverse-complement and the tile replacement are used by the tests alone.
 
 The primitive definitions are the plain forms of the library's small
-helpers: the column word read off the transpose, dominance as a weakly
-decreasing Lehmer code computed in full, the boxes of a tile kind found by
-testing every character of the grid in row-major order, and the frozen
-tableau built on the shape code_partition.
+helpers: the transpose and the column word read off it, dominance as a
+weakly decreasing Lehmer code computed in full, the boxes of a tile kind
+found by testing every character of the grid in row-major order, and the
+frozen tableau built on the shape code_partition.
 """
 
 from collections import Counter
@@ -75,7 +75,6 @@ from stanley.permutations import (
 )
 from stanley.pipedreams import EDGES, KIND_NAMES, BumplessPipedream, is_eg
 from stanley.polynomials import SparsePoly, _trim, divided_difference
-from stanley.tableaux import transpose
 from stanley.words import bump_at, delete_letter, is_reduced
 
 
@@ -577,6 +576,15 @@ def double_schubert_by_tuples(w, memo):
             *(double_schubert_by_tuples(apply_transposition(v, i, r), memo) for i in pivots),
         ])
     return memo[w]
+
+
+def transpose(t):
+    """The tableau whose rows are the columns of t."""
+    if not t:
+        return ()
+    return tuple(
+        tuple(row[j] for row in t if len(row) > j) for j in range(len(t[0]))
+    )
 
 
 def column_reading_word_by_transpose(t):

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import stanley.bijection
 import stanley.pipedreams
+import stanley.tableaux
 
 from stanley.bijection import (
     backward_walk,
@@ -18,10 +20,11 @@ from stanley.tableaux import (
     column_reading_word,
     enumerate_reduced_word_tableaux,
     frozen_tableau,
+    insertion_tableau,
     shape,
 )
 from stanley.trees import eg_tree, leaf_path
-from stanley.words import evaluate
+from stanley.words import evaluate, reverse
 
 W231654 = (2, 3, 1, 6, 5, 4)
 W321654 = (3, 2, 1, 6, 5, 4)
@@ -84,6 +87,7 @@ def _check_walks(t, w, tree):
     back = backward_walk(end.pipedream)
     assert [s.box for s in back[1:]] == [s.box for s in walk[:0:-1]]
     assert [(s.word, s.perm) for s in back] == [(s.word, s.perm) for s in walk[::-1]]
+    assert [s.tableau for s in back] == [s.tableau for s in walk[::-1]]
     return end.pipedream
 
 
@@ -163,6 +167,49 @@ def test_roundtrip_321654():
     egs = {p for p in enumerate_all(W321654) if is_eg(p) is not None}
     assert len(tabs) == len(egs) == 8
     _roundtrip(W321654)
+
+
+def test_each_step_holds_the_insertion_tableau_of_its_reversed_word():
+    # On every EG-pipedream of S1-S6, both walks keep at each step the
+    # insertion tableau of the reversed word, and start on the tableau
+    # they are given or on the frozen tableau of the leaf.
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            for leaf in eg_tree(w).leaves():
+                back = backward_walk(leaf.pipedream)
+                t = back[-1].tableau
+                assert back[0].tableau == frozen_tableau(back[0].perm), w
+                walk = forward_walk(t, w)
+                assert walk[0].tableau == t, w
+                for step in back + walk:
+                    assert step.tableau == insertion_tableau(
+                        reverse(step.word).letters
+                    ), (w, step)
+
+
+def test_each_walk_inserts_once_per_step(monkeypatch):
+    # Insertions reached through the tableaux module (insertion_tableau)
+    # are counted too.
+    calls = []
+    eg_insert = stanley.tableaux.eg_insert
+
+    def counting(letters):
+        calls.append(letters)
+        return eg_insert(letters)
+
+    monkeypatch.setattr(stanley.bijection, "eg_insert", counting)
+    monkeypatch.setattr(stanley.tableaux, "eg_insert", counting)
+    for w in [W231654, W321654, (1, 4, 7, 2, 5, 8, 3, 6, 9), (2, 1, 3)]:
+        for leaf in eg_tree(w).leaves():
+            p = leaf.pipedream
+            steps = len(backward_walk(p))
+            calls.clear()
+            t = gamma_inverse(p)
+            assert len(calls) == steps, (w, p)
+            steps = len(forward_walk(t, w))
+            calls.clear()
+            assert gamma(t, w) == p
+            assert len(calls) == steps, (w, t)
 
 
 def test_round_trip_traces_each_pipedream_once(monkeypatch):

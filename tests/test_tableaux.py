@@ -10,6 +10,7 @@ from oracles import (
     count_reduced_words,
     frozen_tableau_by_code_partition,
     is_dominant_by_code,
+    transpose,
 )
 from stanley.permutations import (
     all_permutations,
@@ -31,7 +32,6 @@ from stanley.tableaux import (
     parse_tableau,
     row_reading_word,
     shape,
-    transpose,
 )
 
 
