@@ -449,27 +449,55 @@ def eg_row_fills(below: tuple[int, ...], exit: int) -> tuple[int, list[tuple[int
     before.  A box that neither enters would be empty, outside the prefix.
     The exit pipe turns east where it enters and runs to the east end.
 
+    The scan is depth first over one copy of the labels below: an r sets
+    its column to 0 and a j writes h there, while every other tile leaves
+    the label as it is.  Where a box has two tiles, the scan goes on with
+    the first, r or -, and keeps a copy of the row for the second, | or j,
+    unless the next box would then hold none.  A copy is scanned after
+    every fill of the tile before it, so the fills come in lexicographic
+    order of the tiles, r before | and - before j.  A fill stops at its
+    first box with no tile.  East of the exit's column h is the exit pipe
+    and every label stays, so that part is checked once for all fills.
+
     >>> eg_row_fills((1, 2, 0), 1)
     (0, [(0, 2, 0)])
     """
-    k = next((j for j, s in enumerate(below) if s), len(below))
-    fills = [((0,) * k, 0)]
-    for s in below[k:]:
-        grown = []
-        for above, h in fills:
+    for k, s in enumerate(below):
+        if s:
+            break
+    else:
+        return len(below), []
+    try:
+        e = below.index(exit)
+    except ValueError:
+        return k, []
+    for s in below[e + 1:]:
+        if 0 < s < exit:
+            return k, []
+    fills = []
+    branches = [(k, 0, list(below))]
+    while branches:
+        j, h, row = branches.pop()
+        while j < e:
+            s = row[j]
             if not h:
-                if s == exit:
-                    grown.append((above + (0,), s))
-                elif s:
-                    grown += [(above + (0,), s), (above + (s,), 0)]
+                if row[j + 1]:
+                    branches.append((j + 1, 0, row.copy()))  # |
+                row[j] = 0  # r
+                h = s
             elif not s:
-                grown.append((above + (0,), h))
-                if h != exit:
-                    grown.append((above + (h,), 0))
-            elif h < s and s != exit:
-                grown.append((above + (s,), h))
-        fills = grown
-    return k, [above for above, h in fills if h == exit]
+                if row[j + 1]:
+                    turn = row.copy()  # j
+                    turn[j] = h
+                    branches.append((j + 1, 0, turn))
+            elif h > s:
+                break
+            j += 1
+        else:
+            if not h:
+                row[e] = 0  # r
+                fills.append(tuple(row))
+    return k, fills
 
 
 def count_eg_pipedreams(w: Perm) -> dict[tuple[int, ...], int]:
@@ -492,9 +520,12 @@ def count_eg_pipedreams(w: Perm) -> dict[tuple[int, ...], int]:
             if k:
                 shapes = {(k, *lam): c for lam, c in shapes.items()}
             for above in aboves:
-                counts = grown.setdefault(above, {})
-                for lam, c in shapes.items():
-                    counts[lam] = counts.get(lam, 0) + c
+                counts = grown.get(above)
+                if counts is None:
+                    grown[above] = dict(shapes)
+                else:
+                    for lam, c in shapes.items():
+                        counts[lam] = counts.get(lam, 0) + c
         states = grown
     return dict(sorted(states.get((0,) * len(w), {}).items()))
 

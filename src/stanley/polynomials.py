@@ -44,6 +44,7 @@ from .permutations import (
     apply_transposition,
     code_partition,
     descents,
+    is_permutation,
     last_descent_step,
     length,
     multiply_simple,
@@ -649,9 +650,13 @@ def eg_coeffs(w: Perm, method: str = "pipedreams") -> dict[tuple[int, ...], int]
     rows, and s_lam itself occurs.  A narrower window would drop shapes;
     the other three routes would then disagree with it.
 
+    Raises ValueError when w is not a permutation of 1..n.
+
     >>> eg_coeffs((2, 1, 3)) == {(1,): 1}
     True
     """
+    if not is_permutation(w):
+        raise ValueError(f"not a permutation of 1..{len(w)}: {tuple(w)}")
     if method == "tableaux":
         coeffs = Counter(map(shape, enumerate_reduced_word_tableaux(w)))
     elif method == "pipedreams":

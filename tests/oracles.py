@@ -30,6 +30,9 @@ The closure count reads the EG coefficients off a list of bumpless
 pipedreams, such as the droop closure enumerate_all: the number of
 EG-pipedreams of each shape among them (Lam-Lee-Shimozono).
 
+The column fill lists the fills of one EG row breadth first: every
+partial fill is a tuple, grown by one column at a time.
+
 The tableau sum builds the Schur polynomial s_lam(x_1..x_m) from its
 definition: one monomial x^T for every semistandard tableau T of shape
 lam with entries at most m.
@@ -266,6 +269,31 @@ def max_pivot_box_by_pattern(w):
 def eg_shape_counts(dreams):
     """The number of EG-pipedreams of each shape among dreams."""
     return dict(Counter(lam for lam in map(is_eg, dreams) if lam is not None))
+
+
+def eg_row_fills_by_columns(below, exit):
+    """The fills of one EG row, as pipedreams.eg_row_fills gives them:
+    every partial fill kept as a tuple with its carried pipe h and grown
+    by one column at a time, the choices of a box in the order r, | and
+    -, j."""
+    k = next((j for j, s in enumerate(below) if s), len(below))
+    fills = [((0,) * k, 0)]
+    for s in below[k:]:
+        grown = []
+        for above, h in fills:
+            if not h:
+                if s == exit:
+                    grown.append((above + (0,), s))
+                elif s:
+                    grown += [(above + (0,), s), (above + (s,), 0)]
+            elif not s:
+                grown.append((above + (0,), h))
+                if h != exit:
+                    grown.append((above + (h,), 0))
+            elif h < s and s != exit:
+                grown.append((above + (s,), h))
+        fills = grown
+    return k, [above for above, h in fills if h == exit]
 
 
 def validate_by_tiles(p):

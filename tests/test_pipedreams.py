@@ -2,6 +2,7 @@ import gc
 import random
 from collections import Counter
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,11 @@ from oracles import (
     DROOP_MAPS,
     LIFT_MAPS,
     boxes_by_scan,
+    count_reduced_words,
     droop_by_tiles,
+    eg_row_fills_by_columns,
     eg_shape_counts,
+    hook_length_count,
     max_pivot_box_by_pattern,
     pivots_by_rectangle,
     reverse_droop_by_tiles,
@@ -25,6 +29,7 @@ from stanley.permutations import (
     inverse,
     is_dominant,
     length,
+    longest_element,
 )
 from stanley.pipedreams import (
     BumplessPipedream,
@@ -576,6 +581,51 @@ PAST_S7 = [
 def test_row_count_matches_the_tree_leaves_past_s7(w):
     # The last element took the tableaux route 31 s and 1.2 GB.
     assert eg_coeffs(w) == eg_coeffs(w, "mls_leaves")
+
+
+def test_stanley_count_past_s8_by_the_product_rule():
+    # A reduced word of u x v is a shuffle of one of u with one of v
+    # shifted up, so #R(w0(6) x w0(6)) = C(30, 15) #R(w0(6))^2, and
+    # Stanley's count #R(w) = sum of a_lam f^lam holds there, in S12.
+    w0 = longest_element(6)
+    words = count_reduced_words(w0, {})
+    assert words == 292864
+    coeffs = count_eg_pipedreams(w0 + tuple(i + 6 for i in w0))
+    assert sum(coeffs.values()) == 26704
+    assert sum(a * hook_length_count(lam) for lam, a in coeffs.items()) == comb(30, 15) * words**2
+
+
+def test_row_fills_match_the_column_scan(monkeypatch):
+    # The depth-first kernel lists the same fills in the same order as the
+    # breadth-first scan over the columns: on every row met while counting
+    # S1-S7 and PAST_S7, and on seeded labels with zeros whose exit is
+    # absent, blocked by a smaller pipe east of it, or free.
+    met = set()
+
+    def record(below, exit):
+        met.add((below, exit))
+        return eg_row_fills(below, exit)
+
+    monkeypatch.setattr(stanley.pipedreams, "eg_row_fills", record)
+    for w in [w for n in range(1, 8) for w in all_permutations(n)] + PAST_S7:
+        count_eg_pipedreams(w)
+    monkeypatch.undo()
+    rng = random.Random(26)
+    kinds = Counter()
+    for _ in range(3000):
+        n = rng.randint(0, 9)
+        below = tuple(s if rng.random() < 0.7 else 0 for s in rng.sample(range(1, n + 3), n))
+        exit = rng.randint(1, n + 3)
+        if exit not in below:
+            kinds["absent"] += 1
+        elif any(0 < s < exit for s in below[below.index(exit):]):
+            kinds["blocked"] += 1
+        else:
+            kinds["free"] += 1
+        met.add((below, exit))
+    assert min(kinds["absent"], kinds["blocked"], kinds["free"]) > 400, kinds
+    for below, exit in met:
+        assert eg_row_fills(below, exit) == eg_row_fills_by_columns(below, exit), (below, exit)
 
 
 def test_row_fills():

@@ -527,6 +527,15 @@ def test_eg_coeffs_dominant_and_identity():
         eg_coeffs((2, 1), "guess")
 
 
+@pytest.mark.parametrize("w", [(1, 1), (2, 3), (3,)])
+def test_every_route_refuses_a_window_that_is_not_a_permutation(w):
+    # Unchecked, the routes disagreed on (1, 1) ({}, {(): 1} and {(1,): 1})
+    # and the tableaux route raised IndexError on (2, 3) and (3,).
+    for method in ("tableaux", "pipedreams", "mls_leaves", "monomial"):
+        with pytest.raises(ValueError, match=re.escape(f"not a permutation of 1..{len(w)}: {w}")):
+            eg_coeffs(w, method)
+
+
 def test_every_route_sorts_its_coefficients_by_shape():
     # Equal dicts may still list their keys in different orders; every
     # route lists them in the same order, sorted by shape.
