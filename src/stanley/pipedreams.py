@@ -459,6 +459,17 @@ def eg_row_fills(below: tuple[int, ...], exit: int) -> tuple[int, list[tuple[int
     first box with no tile.  East of the exit's column h is the exit pipe
     and every label stays, so that part is checked once for all fills.
 
+    The exit turns east in its column e, so no pipe may be carried into
+    it, and a carried pipe leaves the row only through a j, in a column
+    no pipe enters.  Let z be the last such column west of e.  A branch
+    that reaches z carries a pipe there, as its box is not empty, and
+    takes the j: a - would carry the pipe on to e.  Every box past z then
+    holds |, as an r would carry a pipe to e, so the scan stops at z.
+    With no such column past the empty prefix, the row has one fill, |
+    up to e and an r there, given without a scan.  Only branches that
+    give no fill are cut, so the fills and their order stay those of the
+    full scan.
+
     >>> eg_row_fills((1, 2, 0), 1)
     (0, [(0, 2, 0)])
     """
@@ -474,11 +485,16 @@ def eg_row_fills(below: tuple[int, ...], exit: int) -> tuple[int, list[tuple[int
     for s in below[e + 1:]:
         if 0 < s < exit:
             return k, []
+    z = e - 1
+    while z >= k and below[z]:
+        z -= 1
+    if z < k:
+        return k, [below[:e] + (0,) + below[e + 1:]]  # | ... | r
     fills = []
     branches = [(k, 0, list(below))]
     while branches:
         j, h, row = branches.pop()
-        while j < e:
+        while j < z:
             s = row[j]
             if not h:
                 if row[j + 1]:
@@ -494,9 +510,9 @@ def eg_row_fills(below: tuple[int, ...], exit: int) -> tuple[int, list[tuple[int
                 break
             j += 1
         else:
-            if not h:
-                row[e] = 0  # r
-                fills.append(tuple(row))
+            row[z] = h  # j
+            row[e] = 0  # r
+            fills.append(tuple(row))
     return k, fills
 
 

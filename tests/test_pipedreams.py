@@ -595,11 +595,25 @@ def test_stanley_count_past_s8_by_the_product_rule():
     assert sum(a * hook_length_count(lam) for lam, a in coeffs.items()) == comb(30, 15) * words**2
 
 
+def test_stanley_count_in_s14_by_the_product_rule():
+    # The same count on w0(7) x w0(7), in S14: its 1,458,444 EG-pipedreams
+    # run the row kernel on about half a million branches.
+    w0 = longest_element(7)
+    words = count_reduced_words(w0, {})
+    assert words == 1100742656
+    coeffs = count_eg_pipedreams(w0 + tuple(i + 7 for i in w0))
+    assert len(coeffs) == 10873 and sum(coeffs.values()) == 1458444
+    assert sum(a * hook_length_count(lam) for lam, a in coeffs.items()) == comb(42, 21) * words**2
+
+
 def test_row_fills_match_the_column_scan(monkeypatch):
     # The depth-first kernel lists the same fills in the same order as the
     # breadth-first scan over the columns: on every row met while counting
     # S1-S7 and PAST_S7, and on seeded labels with zeros whose exit is
-    # absent, blocked by a smaller pipe east of it, or free.
+    # absent, blocked by a smaller pipe east of it, or free.  Free rows
+    # include some whose last empty column z lies west of the exit with a
+    # label between them, and some with no empty column between the
+    # empty prefix and the exit, which have one fill and no scan.
     met = set()
 
     def record(below, exit):
@@ -622,8 +636,15 @@ def test_row_fills_match_the_column_scan(monkeypatch):
             kinds["blocked"] += 1
         else:
             kinds["free"] += 1
+            e = below.index(exit)
+            west = below[next(j for j, s in enumerate(below) if s):e]
+            if 0 not in west:
+                kinds["no empty column"] += 1
+            elif below[e - 1]:
+                kinds["label past z"] += 1
         met.add((below, exit))
     assert min(kinds["absent"], kinds["blocked"], kinds["free"]) > 400, kinds
+    assert kinds["no empty column"] > 300 and kinds["label past z"] > 60, kinds
     for below, exit in met:
         assert eg_row_fills(below, exit) == eg_row_fills_by_columns(below, exit), (below, exit)
 
@@ -637,10 +658,19 @@ def test_row_fills():
     # Two fills, r-+jr and rjrjr: pipe 1 goes north in column 4 or 2, and
     # the last r turns pipe 3 east, out of the row.
     assert eg_row_fills((1, 0, 2, 0, 3), 3) == (0, [(0, 0, 2, 1, 0), (0, 1, 0, 2, 0)])
+    # .rj|r: column 3 is the last that no pipe enters west of pipe 3, so
+    # pipe 2 turns north there (a - would carry it into pipe 3's column),
+    # and pipe 1 goes north past it (an r would carry pipe 1 there).
+    assert eg_row_fills((0, 2, 0, 1, 3), 3) == (1, [(0, 0, 2, 1, 0)])
+    # .||r: every column between the empty box and pipe 3 has a pipe, so
+    # each of those pipes goes straight north, found without a scan.
+    assert eg_row_fills((0, 2, 1, 3), 3) == (1, [(0, 2, 1, 0)])
     # A pipe that does not enter the row cannot leave it, and pipe 2
     # cannot cross pipe 1 from the west: they started in the other order.
     assert eg_row_fills((0, 2, 0), 1) == (1, [])
     assert eg_row_fills((2, 1), 2) == (0, [])
+    for below, exit in ((0, 2, 0, 1, 3), 3), ((0, 2, 1, 3), 3), ((1, 0, 2, 0, 3), 3):
+        assert eg_row_fills(below, exit) == eg_row_fills_by_columns(below, exit)
 
 
 @given(perms)

@@ -1,6 +1,5 @@
 import random
 import re
-from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +8,7 @@ from oracles import (
     column_reading_word_by_transpose,
     count_reduced_words,
     frozen_tableau_by_code_partition,
+    hook_length_count,
     is_dominant_by_code,
     transpose,
 )
@@ -49,17 +49,6 @@ def is_standard(q):
     return is_increasing(q) and sorted(
         x for row in q for x in row
     ) == list(range(1, size + 1))
-
-
-def hook_length_count(lam):
-    # Standard tableaux of a partition shape, by the hook length formula.
-    cells = [(i, j) for i, part in enumerate(lam) for j in range(part)]
-    product = 1
-    for i, j in cells:
-        arm = lam[i] - j - 1
-        leg = sum(1 for k in range(i + 1, len(lam)) if lam[k] > j)
-        product *= arm + leg + 1
-    return factorial(len(cells)) // product
 
 
 def tableaux_by_definition(w):
