@@ -17,6 +17,7 @@ the work is per (element, tableau) rather than per reduced word.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import lt
 from typing import Iterable
 
 from .permutations import (
@@ -48,10 +49,11 @@ def is_increasing(t: Tableau) -> bool:
     if not is_partition_shape(t):
         return False
     for row in t:
-        if any(a >= b for a, b in zip(row, row[1:])):
+        if not all(map(lt, row, row[1:])):
             return False
+    # Each lower row is no longer than the one above, so map stops at its end.
     for upper, lower in zip(t, t[1:]):
-        if any(upper[j] >= lower[j] for j in range(len(lower))):
+        if not all(map(lt, upper, lower)):
             return False
     return True
 

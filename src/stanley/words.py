@@ -5,7 +5,7 @@ Little map.
 A ``Word`` is a sequence of letters a_t in {1, ..., n-1} together with its
 ambient size n.  The ambient size is explicit because the bump operation can
 grow it (bumping a letter equal to 1 increments every other letter), and
-because complementing a word only makes sense relative to a declared n.
+because the inverse Little map must stop where a letter would pass n - 1.
 
 Evaluation multiplies simple transpositions on the right: each letter a_t
 swaps the entries currently in positions a_t, a_t + 1.
@@ -69,17 +69,17 @@ def is_reduced(a: Word) -> bool:
 def crossing_pairs(a: Word) -> list[tuple[int, int]]:
     """The pair of values interchanged at each time, as (smaller, larger);
     they are distinct exactly when the word is reduced."""
-    return _crossings(a)[1]
+    return _crossings(a.letters, a.n)[1]
 
 
-def _crossings(a: Word) -> tuple[Perm, list[tuple[int, int]]]:
-    """One pass over the letters of a: the permutation it evaluates to and
-    its crossing_pairs."""
-    window = list(range(1, a.n + 1))
+def _crossings(letters, n: int) -> tuple[Perm, list[tuple[int, int]]]:
+    """One pass over the letters of a word in ambient size n: the
+    permutation it evaluates to and its crossing_pairs."""
+    window = list(range(1, n + 1))
     pairs = []
-    for t in a.letters:
-        if not 1 <= t < a.n:
-            raise ValueError(f"letter {t} out of range for ambient size {a.n}")
+    for t in letters:
+        if not 1 <= t < n:
+            raise ValueError(f"letter {t} out of range for ambient size {n}")
         u, v = window[t - 1], window[t]
         pairs.append((u, v) if u < v else (v, u))
         window[t - 1], window[t] = v, u
@@ -88,6 +88,8 @@ def _crossings(a: Word) -> tuple[Perm, list[tuple[int, int]]]:
 
 def delete_letter(a: Word, t: int) -> Word:
     """a^(t): the word with the t-th letter removed (t is 1-based)."""
+    if not 1 <= t <= len(a.letters):
+        raise ValueError(f"deletion index {t} out of range")
     return Word(a.letters[: t - 1] + a.letters[t:], a.n)
 
 
@@ -115,35 +117,60 @@ def little_bump(a: Word, t1: int) -> Word:
     """
     The Little bump of a starting at t1.
 
-    Requires a reduced with a^(t1) also reduced.  Bump at t1; while the word
-    is unreduced, the pair of lines that cross at the letter just bumped
-    is the unique pair crossing twice (Little 2003).  Bump the letter at
-    the other time they cross and repeat.
+    Requires t1 in 1..len(a), a reduced and a^(t1) also reduced.  Bump at
+    t1 (bump_at); while the word is unreduced, the pair of lines that cross
+    at the letter just bumped is the unique pair crossing twice (Little
+    2003).  Bump the letter at the other time they cross and repeat.
 
     >>> little_bump(Word((3, 1, 4, 5, 2), 6), 4).letters
     (2, 1, 3, 4, 2)
     """
-    if not is_reduced(a):
+    if not 1 <= t1 <= len(a.letters):
+        raise ValueError(f"bump index {t1} out of range")
+    w, pairs = _crossings(a.letters, a.n)
+    if len(set(pairs)) != len(pairs):
         raise ValueError(f"word is not reduced: {a.letters}")
-    return _bump(a, t1)
+    return _bump(a, t1, w, pairs, upward=False)
 
 
-def _bump(a: Word, t1: int) -> Word:
-    """little_bump of a word a already known to be reduced."""
-    if not is_reduced(delete_letter(a, t1)):
+def _bump(a: Word, t1: int, w: Perm, pairs, upward: bool) -> Word | None:
+    """
+    The bump chain of the reduced word a from t1, given w = evaluate(a) and
+    the crossing pairs of a.  Downward (little_map, little_bump) each bump
+    lowers a letter by one, and a letter at 1 instead raises every other
+    letter and grows the ambient size, as bump_at does.  Upward
+    (little_map_inverse) each bump raises a letter by one; a letter at
+    n - 1 cannot go higher, and the chain returns None there.  Raises
+    ValueError when a^(t1) is not reduced.  The letters are edited in
+    place and each bumped word is walked once, for its crossing pairs.
+    """
+    # Deleting letter t1 swaps the values u < v of w, v sitting left of u as
+    # the lines cross once.  The result is one letter shorter exactly when
+    # no value between u and v sits between them (permutations._covers).
+    u, v = pairs[t1 - 1]
+    if any(u < x < v for x in w[w.index(v) + 1 : w.index(u)]):
         raise ValueError(f"deleting letter {t1} does not leave a reduced word")
-    guard = 10 * (a.n + len(a.letters)) ** 2
-    b, t = bump_at(a, t1), t1
+    letters, n, t = list(a.letters), a.n, t1
+    guard = 10 * (n + len(letters)) ** 2
     for _ in range(guard):
-        pairs = crossing_pairs(b)
+        x = letters[t - 1]
+        if upward:
+            if x == n - 1:
+                return None
+            letters[t - 1] = x + 1
+        elif x > 1:
+            letters[t - 1] = x - 1
+        else:
+            letters = [y + 1 for y in letters]
+            letters[t - 1] = 1
+            n += 1
+        pairs = _crossings(letters, n)[1]
         if len(set(pairs)) == len(pairs):
-            return b
-        others = [
-            s for s, pair in enumerate(pairs, start=1) if s != t and pair == pairs[t - 1]
-        ]
-        assert len(others) == 1, (a.letters, b.letters, others)
+            return Word(tuple(letters), n)
+        pair = pairs[t - 1]
+        others = [s for s, p in enumerate(pairs, start=1) if s != t and p == pair]
+        assert len(others) == 1, (a.letters, tuple(letters), others)
         t = others[0]
-        b = bump_at(b, t)
     raise AssertionError(f"bump chain did not terminate within {guard} steps")
 
 
@@ -160,16 +187,16 @@ def little_map(a: Word, k: int, v: int) -> Word:
     >>> little_map(Word((5, 3, 1, 2, 4), 6), 4, 5).letters
     (4, 3, 1, 2, 4)
     """
-    return _bump(a, _start_time(a, k, v))
+    return _bump(a, *_start_time(a, k, v), upward=False)
 
 
-def _start_time(a: Word, k: int, v: int) -> int:
-    """Check the letters of a, its reducedness, k and v (in range, and not
-    w_k), in that order, and return the unique 1-based time at which the
-    lines carrying w_k and v cross in a.  One pass over a gives both w and
-    the crossings."""
-    w, pairs = _crossings(a)
-    if len(a.letters) != length(w):
+def _start_time(a: Word, k: int, v: int) -> tuple[int, Perm, list[tuple[int, int]]]:
+    """Check the letters of a, its reducedness (no pair of lines crosses
+    twice), k and v (in range, and not w_k), in that order.  Return the
+    unique 1-based time at which the lines carrying w_k and v cross in a,
+    with w and the crossing pairs of a, all from one pass over a."""
+    w, pairs = _crossings(a.letters, a.n)
+    if len(set(pairs)) != len(pairs):
         raise ValueError(f"word is not reduced: {a.letters}")
     if not 1 <= k <= a.n:
         raise ValueError(f"index k={k} out of range for ambient size {a.n}")
@@ -182,7 +209,7 @@ def _start_time(a: Word, k: int, v: int) -> int:
     times = [t for t, pair in enumerate(pairs, start=1) if pair == wanted]
     if len(times) != 1:
         raise ValueError(f"values {wanted} cross {len(times)} times in {a.letters}")
-    return times[0]
+    return times[0], w, pairs
 
 
 def reverse(a: Word) -> Word:
@@ -190,40 +217,23 @@ def reverse(a: Word) -> Word:
     return Word(a.letters[::-1], a.n)
 
 
-def complement_word(a: Word) -> Word:
-    """
-    a^c = (n - a_1, ..., n - a_l); a reduced word of the reverse-complement
-    of evaluate(a).
-    """
-    for t in a.letters:
-        if not 1 <= t < a.n:
-            raise ValueError(f"letter {t} out of range for ambient size {a.n}")
-    return Word(tuple([a.n - x for x in a.letters]), a.n)
-
-
 def little_map_inverse(a: Word, k: int, v: int) -> Word:
     """
-    The inverse of little_map(..., k, v), computed by conjugating the forward
-    map with the word complement:
-
-        theta_{k,v}^{-1}(a) = (theta_{n+1-k, n+1-v}(a^c))^c
-
-    Complementing relabels each line i as n + 1 - i, so the bump of a^c
-    starts where the lines carrying w_k and v cross in a, found and checked
-    on a itself as in little_map.  Raises ValueError when the conjugated
-    bump grows the ambient size: no word in ambient size n maps to a.
+    The inverse of little_map(..., k, v): the same bump chain, started at
+    the same crossing and checked the same way, with each bump raising its
+    letter by one instead of lowering it.  Raises ValueError when a letter
+    at n - 1 would have to go higher: no word in ambient size n maps to a.
 
     >>> little_map_inverse(Word((3, 2, 1, 2, 3), 6), 2, 4).letters
     (4, 3, 1, 2, 3)
     """
-    t1 = _start_time(a, k, v)
-    out = _bump(complement_word(a), t1)
-    if out.n != a.n:
+    out = _bump(a, *_start_time(a, k, v), upward=True)
+    if out is None:
         raise ValueError(
             f"{format_word(a.letters)} is not in the image of theta_{{{k},{v}}} "
             f"in ambient size {a.n}"
         )
-    return complement_word(out)
+    return out
 
 
 def parse_word(text: str) -> tuple[int, ...]:

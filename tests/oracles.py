@@ -14,6 +14,12 @@ the window it acts on, so that every letter adds one to the length.
 The deletion route finds each next letter of a Little bump as the one
 other position whose deletion leaves the bumped word reduced.
 
+The word-at-a-time chain is the Little map built from whole Word values:
+reducedness as length against inversions, the deletion check as a word
+evaluated, one bump_at and one crossing_pairs per bump.  Its inverse
+conjugates the forward chain by the word complement (n - a_1, ..., n - a_l)
+and rejects a result whose ambient size grew.
+
 The grouped compatible sum computes the Stanley and Schubert polynomials
 from the Billey-Jockusch-Stanley definition: every reduced word with every
 compatible sequence, the words grouped by their ascents and caps.
@@ -55,7 +61,8 @@ The pattern tests (containment, vexillary, the Grassmannian shape), the
 reverse-complement and the tile replacement are used by the tests alone.
 
 The primitive definitions are the plain forms of the library's small
-helpers: the transpose and the column word read off it, dominance as a
+helpers: the transpose and the column word read off it, the increasing
+test comparing entries one index at a time, dominance as a
 weakly decreasing Lehmer code computed in full, the boxes of a tile kind
 found by testing every character of the grid in row-major order, and the
 frozen tableau built on the shape code_partition.
@@ -78,7 +85,16 @@ from stanley.permutations import (
 )
 from stanley.pipedreams import EDGES, KIND_NAMES, BumplessPipedream, is_eg
 from stanley.polynomials import SparsePoly, _trim, divided_difference
-from stanley.words import bump_at, delete_letter, is_reduced
+from stanley.tableaux import is_partition_shape
+from stanley.words import (
+    Word,
+    bump_at,
+    crossing_pairs,
+    delete_letter,
+    evaluate,
+    format_word,
+    is_reduced,
+)
 
 
 def contains_pattern(w, pattern):
@@ -502,6 +518,92 @@ def little_bump_by_deletion(a, t1):
         t = candidates[0]
         b = bump_at(b, t)
     return b
+
+
+def complement_word(a):
+    """
+    a^c = (n - a_1, ..., n - a_l); a reduced word of the reverse-complement
+    of evaluate(a).
+    """
+    for t in a.letters:
+        if not 1 <= t < a.n:
+            raise ValueError(f"letter {t} out of range for ambient size {a.n}")
+    return Word(tuple([a.n - x for x in a.letters]), a.n)
+
+
+def bump_chain_by_words(a, t1):
+    """The Little bump of the reduced word a at t1, one Word per bump: while
+    the bumped word has a pair of lines crossing twice, bump the other time
+    at which the pair just bumped crosses."""
+    if not is_reduced(delete_letter(a, t1)):
+        raise ValueError(f"deleting letter {t1} does not leave a reduced word")
+    guard = 10 * (a.n + len(a.letters)) ** 2
+    b, t = bump_at(a, t1), t1
+    for _ in range(guard):
+        pairs = crossing_pairs(b)
+        if len(set(pairs)) == len(pairs):
+            return b
+        others = [
+            s for s, pair in enumerate(pairs, start=1) if s != t and pair == pairs[t - 1]
+        ]
+        assert len(others) == 1, (a.letters, b.letters, others)
+        t = others[0]
+        b = bump_at(b, t)
+    raise AssertionError(f"bump chain did not terminate within {guard} steps")
+
+
+def start_time_by_length(a, k, v):
+    """The letters of a, its reducedness (length against inversions), k and
+    v checked in that order; the one time at which the lines carrying w_k
+    and v cross in a."""
+    w = evaluate(a)
+    if len(a.letters) != length(w):
+        raise ValueError(f"word is not reduced: {a.letters}")
+    if not 1 <= k <= a.n:
+        raise ValueError(f"index k={k} out of range for ambient size {a.n}")
+    if not 1 <= v <= a.n:
+        raise ValueError(f"value v={v} out of range for ambient size {a.n}")
+    u = w[k - 1]
+    if u == v:
+        raise ValueError(f"value v={v} equals w_{k}, so there are no two lines to bump")
+    wanted = (min(u, v), max(u, v))
+    times = [t for t, pair in enumerate(crossing_pairs(a), start=1) if pair == wanted]
+    if len(times) != 1:
+        raise ValueError(f"values {wanted} cross {len(times)} times in {a.letters}")
+    return times[0]
+
+
+def little_map_by_words(a, k, v):
+    """theta_{k,v}(a), bumped one Word at a time."""
+    return bump_chain_by_words(a, start_time_by_length(a, k, v))
+
+
+def little_map_inverse_by_complement(a, k, v):
+    """theta_{k,v}^{-1}(a) = (theta_{n+1-k, n+1-v}(a^c))^c: the forward
+    chain run on a^c from the time found on a; ValueError when it grows the
+    ambient size."""
+    t1 = start_time_by_length(a, k, v)
+    out = bump_chain_by_words(complement_word(a), t1)
+    if out.n != a.n:
+        raise ValueError(
+            f"{format_word(a.letters)} is not in the image of theta_{{{k},{v}}} "
+            f"in ambient size {a.n}"
+        )
+    return complement_word(out)
+
+
+def is_increasing_by_index(t):
+    """Whether t has a partition shape, is strictly increasing along each
+    row, and down each column, comparing one index at a time."""
+    if not is_partition_shape(t):
+        return False
+    for row in t:
+        if any(a >= b for a, b in zip(row, row[1:])):
+            return False
+    for upper, lower in zip(t, t[1:]):
+        if any(upper[j] >= lower[j] for j in range(len(lower))):
+            return False
+    return True
 
 
 def count_reduced_words(w, memo):

@@ -4,12 +4,17 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import is_reduced_by_ascents, little_bump_by_deletion
+from oracles import (
+    complement_word,
+    is_reduced_by_ascents,
+    little_bump_by_deletion,
+    little_map_by_words,
+    little_map_inverse_by_complement,
+)
 from stanley.permutations import all_permutations, reduced_words
 from stanley.words import (
     Word,
     bump_at,
-    complement_word,
     crossing_pairs,
     delete_letter,
     evaluate,
@@ -136,6 +141,23 @@ def test_bump_at():
         bump_at(Word((2, 1), 3), 3)
 
 
+def test_delete_letter():
+    a = Word((3, 1, 4, 5, 2), 6)
+    assert delete_letter(a, 1) == Word((1, 4, 5, 2), 6)
+    assert delete_letter(a, 5) == Word((3, 1, 4, 5), 6)
+    for t in (0, 6, -1):
+        with pytest.raises(ValueError, match=f"^deletion index {t} out of range$"):
+            delete_letter(a, t)
+
+
+def test_little_bump_checks_the_start_first():
+    # The index is checked before the letters, reducedness or the deletion.
+    for a in (Word((3, 1, 4, 5, 2), 6), Word((1, 1, 9), 3)):
+        for t1 in (0, len(a.letters) + 1, -1):
+            with pytest.raises(ValueError, match=f"^bump index {t1} out of range$"):
+                little_bump(a, t1)
+
+
 def test_little_bump_push_down():
     assert little_bump(Word((3, 1, 4, 5, 2), 6), 4) == Word((2, 1, 3, 4, 2), 6)
     assert evaluate(Word((2, 1, 3, 4, 2), 6)) == (3, 4, 1, 5, 2, 6)
@@ -192,6 +214,34 @@ def test_little_bump_matches_deletion_oracle():
     for a in words:
         for t1 in admissible(a):
             assert little_bump(a, t1) == little_bump_by_deletion(a, t1)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def test_little_maps_match_the_word_at_a_time_oracles():
+    # Every reduced word of S1-S5, then seeded reduced words of S6 and S7,
+    # each with every (k, v) in 1..n, those outside the image included.
+    words = [
+        Word(letters, n)
+        for n in range(1, 6)
+        for w in all_permutations(n)
+        for letters in reduced_words(w)
+    ]
+    rng = random.Random(7)
+    for n, count in ((6, 150), (7, 60)):
+        for _ in range(count):
+            words.append(Word(random_reduced_word(rng.sample(range(1, n + 1), n), rng), n))
+    for a in words:
+        for k, v in product(range(1, a.n + 1), repeat=2):
+            assert outcome(little_map, a, k, v) == outcome(little_map_by_words, a, k, v)
+            assert outcome(little_map_inverse, a, k, v) == outcome(
+                little_map_inverse_by_complement, a, k, v
+            )
 
 
 def test_little_map_known_values():
