@@ -92,9 +92,12 @@ class BumplessPipedream:
         return self._boxes("r")
 
 
-# The permutation validate traced for a grid, for as long as that grid
-# lives.  Grids hash and compare on (n, rows), so equal grids share it.
-_TRACED: weakref.WeakKeyDictionary[BumplessPipedream, Perm] = weakref.WeakKeyDictionary()
+# For as long as a grid lives, the entry [w, made]: the permutation w that
+# validate traced for it, and the droop that made it, or None.  A droop
+# from elbow (a, b) to target (c, d) is kept as (rows, a, b, c, d), with
+# the rows of its input.  Grids hash and compare on (n, rows), so equal
+# grids share the entry.
+_TRACED: weakref.WeakKeyDictionary[BumplessPipedream, list] = weakref.WeakKeyDictionary()
 
 
 def rothe(w: Perm) -> BumplessPipedream:
@@ -142,11 +145,19 @@ def validate(p: BumplessPipedream) -> Perm:
     that stored it: an equal grid still alive after that one has died is
     traced again.  A grid that fails is never stored and raises again on
     every call.
+
+    The entry also holds the droop that made the grid, written by droop
+    once all of its checks have passed (see reverse_droop).
     """
-    w = _TRACED.get(p)
-    if w is None:
-        w = _TRACED[p] = _trace(p)
-    return w
+    return _entry(p)[0]
+
+
+def _entry(p: BumplessPipedream) -> list:
+    """The entry of p in _TRACED, traced and stored first if it has none."""
+    entry = _TRACED.get(p)
+    if entry is None:
+        entry = _TRACED[p] = [_trace(p), None]
+    return entry
 
 
 def _trace(p: BumplessPipedream) -> Perm:
@@ -306,6 +317,10 @@ def droop(p: BumplessPipedream, elbow: Box, target: Box) -> BumplessPipedream:
     illegal: (1) the pipe does not run along the rectangle's west column
     and north row, (2) the rectangle holds a second elbow, (3) the
     rerouted pipe would collide with another pipe or break the grid.
+
+    Once every check has passed, the droop is recorded beside the trace
+    of its result: the input's rows (not the input itself, which may then
+    die), the elbow and the target.
     """
     _check_boxes(p.n, elbow, target)
     (a, b), (c, d) = elbow, target
@@ -330,10 +345,11 @@ def droop(p: BumplessPipedream, elbow: Box, target: Box) -> BumplessPipedream:
         )
     out = _reroute(p, elbow, target, _DROOP, "condition (3): cannot reroute through")
     try:
-        traced = validate(out)
+        entry = _entry(out)
     except ValueError as exc:
         raise ValueError(f"condition (3): droop result is not a pipedream: {exc}")
-    assert traced == validate(p), "droop changed the traced permutation"
+    assert entry[0] == validate(p), "droop changed the traced permutation"
+    entry[1] = (p.rows, a, b, c, d)
     return out
 
 
@@ -344,6 +360,13 @@ def reverse_droop(p: BumplessPipedream, nw: Box) -> BumplessPipedream:
     column and north row, and free the target box: droop's rim map,
     inverted.  Raises ValueError when nw lies outside the grid or the
     move is illegal.
+
+    The last check is that drooping the lift again gives p back.  When
+    the droop recorded beside p's trace ran from the same corners, that
+    droop has already passed every check and returned p, so the check
+    reads the record: the lift's rows must equal its input's.  droop is
+    a function of the grid's rows and the two corners, so this is the
+    same check.  Otherwise the lift is drooped again.
     """
     _check_boxes(p.n, nw)
     m, jm = nw
@@ -366,8 +389,13 @@ def reverse_droop(p: BumplessPipedream, nw: Box) -> BumplessPipedream:
         )
     out = _reroute(p, (x, y), nw, _LIFT, "cannot lift the pipe through")
     traced = validate(out)
-    assert traced == validate(p), "reverse droop changed the traced permutation"
-    assert droop(out, (x, y), (m, jm)) == p, "reverse droop is not a droop inverse"
+    entry = _entry(p)
+    assert traced == entry[0], "reverse droop changed the traced permutation"
+    made = entry[1]
+    if made is not None and made[1:] == (x, y, m, jm):
+        assert made[0] == out.rows, "reverse droop is not a droop inverse"
+    else:
+        assert droop(out, (x, y), (m, jm)) == p, "reverse droop is not a droop inverse"
     return out
 
 
@@ -399,16 +427,21 @@ def max_pivot_box(w: Perm) -> tuple[int, int]:
     v t_ip one longer than v = w t_pq, so up_pivots(v, p) is not empty.
     Raises ValueError when w is dominant, as then no box has one.
 
+    A box (p, c) of the Rothe diagram has a pivot exactly when some i < p
+    has w_i < c: the largest such w_i is one, as no entry between i and p
+    lies between it and c.  So from p = n down, with m the least of w_1,
+    ..., w_{p-1}, the box is the largest c with m < c < w_p and
+    q = w^-1(c) > p.
+
     >>> max_pivot_box((2, 3, 1, 6, 5, 4))
     (5, 6)
     """
     inv = inverse(w)
-    for p in range(len(w), 0, -1):
-        for c in range(w[p - 1] - 1, 0, -1):
+    for p in range(len(w), 1, -1):
+        least = min(w[:p - 1])
+        for c in range(w[p - 1] - 1, least, -1):
             q = inv[c - 1]
-            if q <= p:
-                continue  # (p, c) is not in the Rothe diagram
-            if up_pivots(apply_transposition(w, p, q), p):
+            if q > p:
                 return p, q
     raise ValueError(f"{w} is dominant: no empty box has a pivot")
 
@@ -533,12 +566,17 @@ def count_eg_pipedreams(w: Perm) -> dict[tuple[int, ...], int]:
         grown: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for below, shapes in states.items():
             k, aboves = eg_row_fills(below, exit)
+            if not aboves:
+                continue
             if k:
                 shapes = {(k, *lam): c for lam, c in shapes.items()}
             for above in aboves:
                 counts = grown.get(above)
                 if counts is None:
-                    grown[above] = dict(shapes)
+                    # Each dict belongs to one state, and the states below
+                    # are dropped once the row is done: the last fill (a
+                    # tuple object of its own) takes the dict itself.
+                    grown[above] = shapes if above is aboves[-1] else dict(shapes)
                 else:
                     for lam, c in shapes.items():
                         counts[lam] = counts.get(lam, 0) + c

@@ -86,41 +86,17 @@ def _crossings(letters, n: int) -> tuple[Perm, list[tuple[int, int]]]:
     return tuple(window), pairs
 
 
-def delete_letter(a: Word, t: int) -> Word:
-    """a^(t): the word with the t-th letter removed (t is 1-based)."""
-    if not 1 <= t <= len(a.letters):
-        raise ValueError(f"deletion index {t} out of range")
-    return Word(a.letters[: t - 1] + a.letters[t:], a.n)
-
-
-def bump_at(a: Word, t: int) -> Word:
-    """
-    a up-arrow t.  Decrement letter t if it exceeds 1; otherwise keep it and
-    increment every other letter, growing the ambient size by one.
-
-    >>> bump_at(Word((3, 2, 1, 2, 3), 6), 1).letters
-    (2, 2, 1, 2, 3)
-    >>> bump_at(Word((1, 2), 3), 1)
-    Word(letters=(1, 3), n=4)
-    """
-    if not 1 <= t <= len(a.letters):
-        raise ValueError(f"bump index {t} out of range")
-    if a.letters[t - 1] > 1:
-        letters = list(a.letters)
-        letters[t - 1] -= 1
-        return Word(tuple(letters), a.n)
-    letters = tuple(x if i == t - 1 else x + 1 for i, x in enumerate(a.letters))
-    return Word(letters, a.n + 1)
-
-
 def little_bump(a: Word, t1: int) -> Word:
     """
     The Little bump of a starting at t1.
 
-    Requires t1 in 1..len(a), a reduced and a^(t1) also reduced.  Bump at
-    t1 (bump_at); while the word is unreduced, the pair of lines that cross
-    at the letter just bumped is the unique pair crossing twice (Little
-    2003).  Bump the letter at the other time they cross and repeat.
+    Requires t1 in 1..len(a), a reduced and a^(t1) (a with letter t1
+    deleted) also reduced.  Bump letter t1: lower it by one if it exceeds
+    1, or else keep it and raise every other letter, growing the ambient
+    size by one.  While the word is unreduced, the pair of lines that
+    cross at the letter just bumped is the unique pair crossing twice
+    (Little 2003).  Bump the letter at the other time they cross and
+    repeat.
 
     >>> little_bump(Word((3, 1, 4, 5, 2), 6), 4).letters
     (2, 1, 3, 4, 2)
@@ -137,8 +113,8 @@ def _bump(a: Word, t1: int, w: Perm, pairs, upward: bool) -> Word | None:
     """
     The bump chain of the reduced word a from t1, given w = evaluate(a) and
     the crossing pairs of a.  Downward (little_map, little_bump) each bump
-    lowers a letter by one, and a letter at 1 instead raises every other
-    letter and grows the ambient size, as bump_at does.  Upward
+    lowers a letter by one, and a letter at 1 instead stays and raises
+    every other letter, growing the ambient size by one.  Upward
     (little_map_inverse) each bump raises a letter by one; a letter at
     n - 1 cannot go higher, and the chain returns None there.  Raises
     ValueError when a^(t1) is not reduced.  The letters are edited in

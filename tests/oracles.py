@@ -11,6 +11,10 @@ double form.
 The ascent test calls a word reduced when each letter swaps an ascent of
 the window it acts on, so that every letter adds one to the length.
 
+The word steps are a Little bump's two moves on whole Word values:
+delete_letter drops one letter, and bump_at bumps one, lowering it or,
+at 1, raising every other letter and the ambient size.
+
 The deletion route finds each next letter of a Little bump as the one
 other position whose deletion leaves the bumped word reduced.
 
@@ -57,6 +61,9 @@ word of w s_d.  The same recursion, weighting each word by the product of
 its letters, gives Macdonald's sum, which equals l(w)! S_w(1, ..., 1).
 The hook-length formula counts the standard Young tableaux of a shape.
 
+The cover search finds the largest pivoted box of the Rothe diagram by
+testing each box's transition for a cover, one box at a time.
+
 The pattern tests (containment, vexillary, the Grassmannian shape), the
 reverse-complement and the tile replacement are used by the tests alone.
 
@@ -76,21 +83,21 @@ from stanley.permutations import (
     apply_transposition,
     code_partition,
     descents,
+    inverse,
     last_descent_step,
     lehmer_code,
     length,
     longest_element,
     multiply_simple,
     reduced_words,
+    up_pivots,
 )
 from stanley.pipedreams import EDGES, KIND_NAMES, BumplessPipedream, is_eg
 from stanley.polynomials import SparsePoly, _trim, divided_difference
 from stanley.tableaux import is_partition_shape
 from stanley.words import (
     Word,
-    bump_at,
     crossing_pairs,
-    delete_letter,
     evaluate,
     format_word,
     is_reduced,
@@ -280,6 +287,19 @@ def max_pivot_box_by_pattern(w):
     # q also indexes the largest value below w_p appearing after p.
     assert w[q - 1] == max(v for v in w[p:] if v < w[p - 1]), (w, p, q)
     return p, q
+
+
+def max_pivot_box_by_covers(w):
+    """(p, q) for the first box (p, w_q) of the Rothe diagram, scanned
+    backwards in row-major order, whose transition v = w t_pq has a cover
+    up_pivots(v, p); None when no box has one."""
+    inv = inverse(w)
+    for p in range(len(w), 0, -1):
+        for c in range(w[p - 1] - 1, 0, -1):
+            q = inv[c - 1]
+            if q > p and up_pivots(apply_transposition(w, p, q), p):
+                return p, q
+    return None
 
 
 def eg_shape_counts(dreams):
@@ -501,6 +521,28 @@ def is_reduced_by_ascents(a):
         reduced = reduced and u < v
         window[t - 1], window[t] = v, u
     return reduced
+
+
+def delete_letter(a, t):
+    """a^(t): the word with the t-th letter removed (t is 1-based)."""
+    if not 1 <= t <= len(a.letters):
+        raise ValueError(f"deletion index {t} out of range")
+    return Word(a.letters[: t - 1] + a.letters[t:], a.n)
+
+
+def bump_at(a, t):
+    """
+    a up-arrow t.  Decrement letter t if it exceeds 1; otherwise keep it and
+    increment every other letter, growing the ambient size by one.
+    """
+    if not 1 <= t <= len(a.letters):
+        raise ValueError(f"bump index {t} out of range")
+    if a.letters[t - 1] > 1:
+        letters = list(a.letters)
+        letters[t - 1] -= 1
+        return Word(tuple(letters), a.n)
+    letters = tuple(x if i == t - 1 else x + 1 for i, x in enumerate(a.letters))
+    return Word(letters, a.n + 1)
 
 
 def little_bump_by_deletion(a, t1):

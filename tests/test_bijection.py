@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -14,7 +15,7 @@ from stanley.bijection import (
     word_of_pipedream,
 )
 from stanley.permutations import all_permutations, identity, inverse, is_dominant
-from stanley.pipedreams import enumerate_all, is_eg, parse, rothe, validate
+from stanley.pipedreams import enumerate_all, is_eg, parse, render, rothe, validate
 from stanley.tableaux import (
     _tableaux_of,
     column_reading_word,
@@ -230,3 +231,38 @@ def test_round_trip_traces_each_pipedream_once(monkeypatch):
     assert traced
     assert len({id(p) for p in traced}) == len(traced)
     assert len({(p.n, p.rows) for p in traced}) == len(traced)
+
+
+def test_backward_walk_reads_the_droops_of_a_held_tree(monkeypatch):
+    # While the EG tree is held, each reverse droop reads the droop that
+    # made its grid, recorded beside the trace, and droops nothing again.
+    # On the grid parsed afresh once the tree is gone, each one droops
+    # its lift again.  The two walks are equal.  A map of its own keeps
+    # grids alive in other tests out of the count.
+    monkeypatch.setattr(stanley.pipedreams, "_TRACED", weakref.WeakKeyDictionary())
+    droops = []
+    droop = stanley.pipedreams.droop
+    monkeypatch.setattr(
+        stanley.pipedreams, "droop", lambda *args: droops.append(args) or droop(*args)
+    )
+
+    def walk(p):
+        """The steps of p's backward walk, grids as rows, and the number
+        of droops it made; no grid of the walk outlives the call."""
+        droops.clear()
+        steps = [s._replace(pipedream=s.pipedream.rows) for s in backward_walk(p)]
+        return steps, len(droops)
+
+    rng = random.Random(29)
+    elements = [w for n in range(1, 7) for w in all_permutations(n)]
+    elements += rng.sample(list(all_permutations(7)), 40)
+    walks = 0
+    for w in elements:
+        tree = eg_tree(w)
+        held = {render(leaf.pipedream): walk(leaf.pipedream) for leaf in tree.leaves()}
+        del tree  # trees hold no reference cycle, so the tree dies here
+        for text, (steps, made) in held.items():
+            assert made == 0, (w, text)
+            assert walk(parse(text)) == (steps, len(steps) - 1), (w, text)
+        walks += len(held)
+    assert walks == 1248  # every EG-pipedream of S1-S6 and of the 40 from S7

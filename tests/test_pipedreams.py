@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 from collections import Counter
 from itertools import combinations, product
 from math import comb
@@ -18,6 +19,7 @@ from oracles import (
     eg_row_fills_by_columns,
     eg_shape_counts,
     hook_length_count,
+    max_pivot_box_by_covers,
     max_pivot_box_by_pattern,
     pivots_by_rectangle,
     reverse_droop_by_tiles,
@@ -363,6 +365,58 @@ def test_reverse_droop_inverts_every_droop():
                     assert reverse_droop(q, target) == p
 
 
+@pytest.fixture
+def traced(monkeypatch):
+    """A weak map of the test's own behind validate, so that no grid alive
+    in another test shares an entry with the test's grids."""
+    traced = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(stanley.pipedreams, "_TRACED", traced)
+    return traced
+
+
+def test_droop_records_its_input_beside_the_trace(traced):
+    p = rothe(W231654)
+    q = droop(p, (2, 3), (5, 4))
+    assert traced[q] == [validate(p), (p.rows, 2, 3, 5, 4)]
+    assert vars(q) == {"n": q.n, "rows": q.rows}
+
+
+def test_reverse_droop_reads_the_record(traced, monkeypatch):
+    # A grid whose droop is recorded is lifted without drooping again; an
+    # equal grid traced afresh, with no record, droops the lift again.
+    p = rothe(W2761453)
+    q = droop(p, (1, 2), (3, 4))
+    calls = []
+    monkeypatch.setattr(
+        stanley.pipedreams, "droop", lambda *args: calls.append(args) or droop(*args)
+    )
+    assert reverse_droop(q, (3, 4)) == p
+    assert calls == []
+    rows = q.rows
+    del p, q
+    gc.collect()
+    lifted = reverse_droop(BumplessPipedream(7, rows), (3, 4))
+    assert lifted == rothe(W2761453)
+    assert calls == [(lifted, (1, 2), (3, 4))]
+
+
+def test_reverse_droop_rejects_a_record_that_is_not_the_lift(traced):
+    q = droop(rothe(W2761453), (1, 2), (3, 4))
+    traced[q][1] = (rothe(identity(7)).rows, 1, 2, 3, 4)
+    with pytest.raises(AssertionError, match="^reverse droop is not a droop inverse$"):
+        reverse_droop(q, (3, 4))
+
+
+def test_a_droop_record_dies_with_its_grid(traced):
+    p = rothe(W231654)
+    q = droop(p, (3, 1), (5, 4))
+    rows = q.rows
+    assert traced[q][1] == (p.rows, 3, 1, 5, 4)
+    del q
+    gc.collect()
+    assert BumplessPipedream(6, rows) not in traced
+
+
 def move_outcome(move, *args):
     """The rows a move returns, or the type and message of what it raises."""
     try:
@@ -473,6 +527,24 @@ def test_max_pivot_box_matches_geometry():
         for w in all_permutations(n):
             for box in rothe_diagram(w):
                 assert pivots(w, box) == pivots_by_rectangle(w, box)
+
+
+def test_max_pivot_box_matches_the_cover_search():
+    # The direct rule against the box-by-box search for a transition
+    # cover, on S1-S7 and on seeded elements of S8-S12.
+    rng = random.Random(29)
+    groups = [all_permutations(n) for n in range(1, 8)]
+    groups += [
+        [tuple(rng.sample(range(1, n + 1), n)) for _ in range(300)] for n in range(8, 13)
+    ]
+    for group in groups:
+        for w in group:
+            box = max_pivot_box_by_covers(w)
+            if box is None:
+                with pytest.raises(ValueError, match="dominant"):
+                    max_pivot_box(w)
+            else:
+                assert max_pivot_box(w) == box
 
 
 def test_weight_sums_to_double_schubert():

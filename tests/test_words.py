@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    bump_at,
     complement_word,
+    delete_letter,
     is_reduced_by_ascents,
     little_bump_by_deletion,
     little_map_by_words,
@@ -14,9 +16,7 @@ from oracles import (
 from stanley.permutations import all_permutations, reduced_words
 from stanley.words import (
     Word,
-    bump_at,
     crossing_pairs,
-    delete_letter,
     evaluate,
     format_word,
     is_reduced,
@@ -137,6 +137,8 @@ def test_little_map_starts_at_the_one_crossing():
 def test_bump_at():
     assert bump_at(Word((3, 1, 4, 5, 2), 6), 4) == Word((3, 1, 4, 4, 2), 6)
     assert bump_at(Word((2, 1), 3), 2) == Word((3, 1), 4)
+    assert bump_at(Word((3, 2, 1, 2, 3), 6), 1).letters == (2, 2, 1, 2, 3)
+    assert bump_at(Word((1, 2), 3), 1) == Word((1, 3), 4)
     with pytest.raises(ValueError, match="out of range"):
         bump_at(Word((2, 1), 3), 3)
 
