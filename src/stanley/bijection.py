@@ -36,11 +36,11 @@ from .tableaux import (
     shape,
 )
 from .trees import eg_tree
-from .words import Word, evaluate, little_map, little_map_inverse, reverse
+from .words import Word, little_chain, scan
 
 
 def _check_chain_step(tau: Word, recording: Tableau) -> Tableau:
-    p, q = eg_insert(reverse(tau).letters)
+    p, q = eg_insert(tau.letters[::-1])
     assert q == recording, "recording tableau drifted along the word chain"
     assert column_reading_word(p) == tau.letters, "column word not recovered"
     return p
@@ -77,22 +77,21 @@ def forward_walk(t: Tableau, w: Perm) -> list[Step]:
         )
     tree = eg_tree(w)
     node = tree.root
-    tau = Word(column_reading_word(t), len(w))
-    start, recording = eg_insert(reverse(tau).letters)
+    tau = scan(Word(column_reading_word(t), len(w)))
+    start, recording = eg_insert(tau.word.letters[::-1])
     assert start == t, "step 0 does not hold the tableau the walk starts from"
-    steps = [Step(None, tau, w, node.pipedream, start)]
+    steps = [Step(None, tau.word, w, node.pipedream, start)]
     while not node.leaf:
         u = node.perm
         p, q, _ = tree.nodes[node.children[0]].move
         box = (p, u[q - 1])
-        tau = little_map(tau, *box)
-        assert tau.n == len(w), "the bump chain never leaves the ambient size"
-        tableau = _check_chain_step(tau, recording)
-        target = evaluate(tau)
-        matches = [c for c in node.children if tree.nodes[c].perm == target]
-        assert len(matches) == 1, (u, target)
+        tau = little_chain(tau, *box, upward=False)
+        assert tau.word.n == len(w), "the bump chain never leaves the ambient size"
+        tableau = _check_chain_step(tau.word, recording)
+        matches = [c for c in node.children if tree.nodes[c].perm == tau.perm]
+        assert len(matches) == 1, (u, tau.perm)
         node = tree.nodes[matches[0]]
-        steps.append(Step(box, tau, node.perm, node.pipedream, tableau))
+        steps.append(Step(box, tau.word, node.perm, node.pipedream, tableau))
     assert steps[-1].tableau == frozen_tableau(node.perm)
     assert is_eg(node.pipedream) == shape(t), "shape drifted across the walk"
     return steps
@@ -140,19 +139,19 @@ def backward_walk(p: BumplessPipedream) -> list[Step]:
     leaf = perm_from_code(lam + (0,) * (p.n - len(lam)))
     assert code_partition(leaf) == lam
     frozen = frozen_tableau(leaf)
-    tau = Word(column_reading_word(frozen), p.n)
-    start, recording = eg_insert(reverse(tau).letters)
+    tau = scan(Word(column_reading_word(frozen), p.n))
+    start, recording = eg_insert(tau.word.letters[::-1])
     assert start == frozen, "step 0 does not hold the tableau the walk starts from"
-    steps = [Step(None, tau, leaf, p, start)]
+    steps = [Step(None, tau.word, leaf, p, start)]
     for box, dream in zip(boxes, dreams[1:]):
         try:
-            tau = little_map_inverse(tau, *box)
+            tau = little_chain(tau, *box, upward=True)
         except ValueError as exc:
             # The chain stays in the image by construction: a fault here
             # is the program's, not the input's.
             raise AssertionError(f"inverse Little map failed at {box}: {exc}") from exc
-        tableau = _check_chain_step(tau, recording)
-        steps.append(Step(box, tau, evaluate(tau), dream, tableau))
+        tableau = _check_chain_step(tau.word, recording)
+        steps.append(Step(box, tau.word, tau.perm, dream, tableau))
     assert steps[-1].perm == w, "inverse chain missed the traced permutation"
     t = steps[-1].tableau
     assert shape(t) == lam, "shape drifted across the walk"

@@ -60,6 +60,8 @@ _FLAGS = tuple(
 # where a ray south from an elbow above crosses the row.
 _WEST_OF_ELBOW = str.maketrans("01", ".|")
 _EAST_OF_ELBOW = str.maketrans("01", "-+")
+# A row as flags: "0" at an empty box, "1" at any other tile.
+_EMPTY_FLAGS = str.maketrans({t: "0" if t == "." else "1" for t in EDGES})
 # The tiles a pipe runs straight through, north-south and west-east.
 _VERTICAL, _HORIZONTAL = frozenset("|+"), frozenset("-+")
 
@@ -84,6 +86,11 @@ class BumplessPipedream:
 
     def empty_boxes(self) -> list[Box]:
         return self._boxes(".")
+
+    def empty_flags(self) -> list[str]:
+        """Each row as flags, "0" at an empty box and "1" elsewhere: the
+        empty boxes in the form of rothe_flags."""
+        return [row.translate(_EMPTY_FLAGS) for row in self.rows]
 
     def nw_elbows(self) -> list[Box]:
         return self._boxes("j")
@@ -116,6 +123,25 @@ def rothe(w: Perm) -> BumplessPipedream:
         grid.append(west.translate(_WEST_OF_ELBOW) + "r" + east.translate(_EAST_OF_ELBOW))
         columns = west + "1" + east
     return BumplessPipedream(len(w), tuple(grid))
+
+
+def rothe_flags(w: Perm) -> list[str]:
+    """
+    The Rothe diagram of w row by row as flags, "0" at each of its boxes
+    and "1" elsewhere, built column by column as rothe builds its rows:
+    row i is "0" exactly at the columns j < w_i that hold no w_k, k < i.
+
+    >>> rothe_flags((2, 3, 1))
+    ['011', '011', '111']
+    """
+    n = len(w)
+    columns = "0" * n
+    rows = []
+    for c in w:
+        west = columns[:c - 1]
+        rows.append(west + "1" * (n - c + 1))
+        columns = west + "1" + columns[c:]
+    return rows
 
 
 def rothe_diagram(w: Perm) -> frozenset[Box]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, starmap
+from itertools import combinations, starmap
 from math import prod
 from typing import Iterable, Mapping
 
@@ -541,6 +541,35 @@ def schur_poly(lam: tuple[int, ...], m: int) -> SparsePoly:
     return _compatible_poly(w, m, floor_k=False)
 
 
+def _schur_candidates(degrees: set[int], m: int, top: int) -> list[tuple[int, ...]]:
+    """
+    The weakly decreasing m-tuples with entries at most top and a sum in
+    degrees, in lexicographically descending order, listed degree by
+    degree without the tuples of other sums.  With r left to place in k
+    places, the next entry x, at most the one before, completes exactly
+    when r / k <= x <= r; the last entry is r itself.
+
+    >>> _schur_candidates({3}, 2, 3)
+    [(3, 0), (2, 1)]
+    """
+    found = []
+    for d in degrees:
+        # Each entry is a prefix, its last entry and what is left to place.
+        stack = [((), top, d)]
+        while stack:
+            lam, bound, rest = stack.pop()
+            places = m - len(lam)
+            if places <= 1:
+                if places == 0 and rest == 0:
+                    found.append(lam)
+                elif places == 1 and rest <= bound:
+                    found.append((*lam, rest))
+                continue
+            for x in range(-(-rest // places), min(rest, bound) + 1):
+                stack.append(((*lam, x), x, rest - x))
+    return sorted(found, reverse=True)
+
+
 def schur_expand(f: SparsePoly, m: int) -> dict[tuple[int, ...], int]:
     """
     Expand a symmetric polynomial in x_1..x_m as integers on Schur
@@ -552,10 +581,11 @@ def schur_expand(f: SparsePoly, m: int) -> dict[tuple[int, ...], int]:
 
     The candidates lam are the weakly decreasing m-tuples with entries at
     most the largest exponent of f and a sum that is a degree of f, in
-    lexicographically descending order.  That set is complete: no Schur
-    polynomial has a monomial above x^lam for its own lam, so the
-    lexicographically largest lam with c_lam != 0 keeps its monomial
-    x^lam in f, and every first part is at most the largest exponent.
+    lexicographically descending order (_schur_candidates).  That set is
+    complete: no Schur polynomial has a monomial above x^lam for its own
+    lam, so the lexicographically largest lam with c_lam != 0 keeps its
+    monomial x^lam in f, and every first part is at most the largest
+    exponent.
     Scanning only the partitions in the support of f would not be
     complete: s_2 - s_11 in two variables is x1^2 + x2^2.
 
@@ -593,9 +623,7 @@ def schur_expand(f: SparsePoly, m: int) -> dict[tuple[int, ...], int]:
     prefixes = {xe[:i] for xe in exps for i in range(m + 1)}
     coeffs: dict[tuple[int, ...], int] = {}
     specialized = 0
-    for lam in combinations_with_replacement(range(top, -1, -1), m):
-        if sum(lam) not in degrees:
-            continue
+    for lam in _schur_candidates(degrees, m, top):
         top_exps = tuple(map(operator.add, lam, delta))
         # Each entry is the exponents e taken so far, the parts of delta
         # left and the sign; the parts left descend, so taking the j-th

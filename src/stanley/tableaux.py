@@ -81,29 +81,42 @@ def column_reading_word(t: Tableau) -> tuple[int, ...]:
     return tuple([row[j] for j in reversed(range(len(t[0]))) for row in t if len(row) > j])
 
 
-def _row_insert(rows: list[list[int]], x: int) -> int:
+def _row_insert(
+    rows: list[list[int]], letters: Iterable[int], recording: list[list[int]] | None = None
+) -> None:
     """
-    Row-insert x into the increasing tableau rows, in place, and return the
-    index of the row that gained a box.
+    Row-insert the letters one by one into the increasing tableau rows, in
+    place.  When recording is given, each letter's time (counted from 1)
+    goes at the end of the recording row whose tableau row gained a box.
 
-    Append if x exceeds the last entry; otherwise bump the leftmost entry
-    y > x, replacing it by x only when that keeps the row strictly
-    increasing (when x already sits just left of y the row is kept as is).
+    Append x if it exceeds the last entry of the row; otherwise bump the
+    leftmost entry y > x, replacing it by x only when that keeps the row
+    strictly increasing (when x already sits just left of y the row is
+    kept as is), and insert y into the next row.
     """
-    for r, row in enumerate(rows):
-        if x > row[-1]:
-            row.append(x)
-            return r
-        j = bisect_right(row, x)
-        # j < len(row) since x <= row[-1] and x equal to the row maximum
-        # cannot happen while inserting a reduced word.
-        assert j < len(row), f"letter {x} equals the maximum of row {row}"
-        y = row[j]
-        if j == 0 or row[j - 1] < x:
-            row[j] = x
-        x = y
-    rows.append([x])
-    return len(rows) - 1
+    time = 0
+    for x in letters:
+        for r, row in enumerate(rows):
+            if x > row[-1]:
+                row.append(x)
+                break
+            j = bisect_right(row, x)
+            # j < len(row) since x <= row[-1] and x equal to the row maximum
+            # cannot happen while inserting a reduced word.
+            assert j < len(row), f"letter {x} equals the maximum of row {row}"
+            y = row[j]
+            if j == 0 or row[j - 1] < x:
+                row[j] = x
+            x = y
+        else:
+            r = len(rows)
+            rows.append([x])
+        if recording is not None:
+            time += 1
+            if r == len(recording):
+                recording.append([time])
+            else:
+                recording[r].append(time)
 
 
 def eg_insert(letters: Iterable[int]) -> tuple[Tableau, Tableau]:
@@ -118,12 +131,7 @@ def eg_insert(letters: Iterable[int]) -> tuple[Tableau, Tableau]:
     """
     rows: list[list[int]] = []
     recording: list[list[int]] = []
-    for time, x in enumerate(letters, start=1):
-        r = _row_insert(rows, x)
-        if r == len(recording):
-            recording.append([time])
-        else:
-            recording[r].append(time)
+    _row_insert(rows, letters, recording)
     return tuple(map(tuple, rows)), tuple(map(tuple, recording))
 
 
@@ -181,7 +189,7 @@ def _tableaux_of(v: Perm, memo: dict[Perm, set[Tableau]]) -> set[Tableau]:
     for d in down:
         for p in _tableaux_of(multiply_simple(v, d), memo):
             rows = [list(row) for row in p]
-            _row_insert(rows, d)
+            _row_insert(rows, (d,))
             found.add(tuple(tuple(row) for row in rows))
     memo[v] = found
     return found

@@ -31,7 +31,7 @@ from .pipedreams import (
     max_pivot_box,
     render,
     rothe,
-    rothe_diagram,
+    rothe_flags,
 )
 
 
@@ -158,9 +158,7 @@ def eg_tree(w: Perm) -> TransitionTree:
             parent = tree.nodes[node.parent]
             u, (p, q, i) = parent.perm, node.move
             node.pipedream = droop(parent.pipedream, (i, u[i - 1]), (p, u[q - 1]))
-            assert frozenset(node.pipedream.empty_boxes()) == rothe_diagram(
-                node.perm
-            ), (u, node.perm)
+            assert node.pipedream.empty_flags() == rothe_flags(node.perm), (u, node.perm)
         if node.leaf:
             assert is_eg(node.pipedream) is not None, node.perm
     _EG_TREES[w] = tree

@@ -86,6 +86,21 @@ def _crossings(letters, n: int) -> tuple[Perm, list[tuple[int, int]]]:
     return tuple(window), pairs
 
 
+class Scan(NamedTuple):
+    """A word with what one pass over its letters gives: the permutation
+    it evaluates to and its crossing pairs.  Each step of a Little chain
+    hands its Scan to the next, so no word is walked twice."""
+
+    word: Word
+    perm: Perm
+    pairs: list[tuple[int, int]]
+
+
+def scan(a: Word) -> Scan:
+    """One pass over a; ValueError for a letter out of range."""
+    return Scan(a, *_crossings(a.letters, a.n))
+
+
 def little_bump(a: Word, t1: int) -> Word:
     """
     The Little bump of a starting at t1.
@@ -103,23 +118,24 @@ def little_bump(a: Word, t1: int) -> Word:
     """
     if not 1 <= t1 <= len(a.letters):
         raise ValueError(f"bump index {t1} out of range")
-    w, pairs = _crossings(a.letters, a.n)
-    if len(set(pairs)) != len(pairs):
+    s = scan(a)
+    if len(set(s.pairs)) != len(s.pairs):
         raise ValueError(f"word is not reduced: {a.letters}")
-    return _bump(a, t1, w, pairs, upward=False)
+    return _bump(s, t1, upward=False).word
 
 
-def _bump(a: Word, t1: int, w: Perm, pairs, upward: bool) -> Word | None:
+def _bump(s: Scan, t1: int, upward: bool) -> Scan | None:
     """
-    The bump chain of the reduced word a from t1, given w = evaluate(a) and
-    the crossing pairs of a.  Downward (little_map, little_bump) each bump
-    lowers a letter by one, and a letter at 1 instead stays and raises
-    every other letter, growing the ambient size by one.  Upward
-    (little_map_inverse) each bump raises a letter by one; a letter at
-    n - 1 cannot go higher, and the chain returns None there.  Raises
-    ValueError when a^(t1) is not reduced.  The letters are edited in
-    place and each bumped word is walked once, for its crossing pairs.
+    The bump chain of the reduced word s.word from t1.  Downward
+    (little_map, little_bump) each bump lowers a letter by one, and a
+    letter at 1 instead stays and raises every other letter, growing the
+    ambient size by one.  Upward (little_map_inverse) each bump raises a
+    letter by one; a letter at n - 1 cannot go higher, and the chain
+    returns None there.  Raises ValueError when a^(t1) is not reduced.  The
+    letters are edited in place and each bumped word is walked once; the
+    walk of the last one is returned with it.
     """
+    a, w, pairs = s
     # Deleting letter t1 swaps the values u < v of w, v sitting left of u as
     # the lines cross once.  The result is one letter shorter exactly when
     # no value between u and v sits between them (permutations._covers).
@@ -140,13 +156,18 @@ def _bump(a: Word, t1: int, w: Perm, pairs, upward: bool) -> Word | None:
             letters = [y + 1 for y in letters]
             letters[t - 1] = 1
             n += 1
-        pairs = _crossings(letters, n)[1]
+        w, pairs = _crossings(letters, n)
         if len(set(pairs)) == len(pairs):
-            return Word(tuple(letters), n)
+            return Scan(Word(tuple(letters), n), w, pairs)
+        # The pair just bumped crosses twice: at t and at the other time.
         pair = pairs[t - 1]
-        others = [s for s, p in enumerate(pairs, start=1) if s != t and p == pair]
-        assert len(others) == 1, (a.letters, tuple(letters), others)
-        t = others[0]
+        assert pairs.count(pair) == 2, (
+            a.letters,
+            tuple(letters),
+            [r for r, p in enumerate(pairs, start=1) if r != t and p == pair],
+        )
+        first = pairs.index(pair)
+        t = first + 1 if first != t - 1 else pairs.index(pair, t) + 1
     raise AssertionError(f"bump chain did not terminate within {guard} steps")
 
 
@@ -163,15 +184,32 @@ def little_map(a: Word, k: int, v: int) -> Word:
     >>> little_map(Word((5, 3, 1, 2, 4), 6), 4, 5).letters
     (4, 3, 1, 2, 4)
     """
-    return _bump(a, *_start_time(a, k, v), upward=False)
+    return little_chain(scan(a), k, v, upward=False).word
 
 
-def _start_time(a: Word, k: int, v: int) -> tuple[int, Perm, list[tuple[int, int]]]:
-    """Check the letters of a, its reducedness (no pair of lines crosses
-    twice), k and v (in range, and not w_k), in that order.  Return the
-    unique 1-based time at which the lines carrying w_k and v cross in a,
-    with w and the crossing pairs of a, all from one pass over a."""
-    w, pairs = _crossings(a.letters, a.n)
+def little_chain(s: Scan, k: int, v: int, upward: bool) -> Scan:
+    """
+    theta_{k,v} (downward) or its inverse (upward) on the scanned word
+    s: the checks of _start_time on s, then the bump chain, returning the
+    result with the pass that checked it.  little_map and
+    little_map_inverse are this on scan(a); a walk feeds each result to
+    its next map, so every word of the walk is scanned once.
+    """
+    out = _bump(s, _start_time(s, k, v), upward)
+    if out is None:
+        raise ValueError(
+            f"{format_word(s.word.letters)} is not in the image of theta_{{{k},{v}}} "
+            f"in ambient size {s.word.n}"
+        )
+    return out
+
+
+def _start_time(s: Scan, k: int, v: int) -> int:
+    """Check the reducedness of the scanned word a (no pair of lines
+    crosses twice), then k and v (in range, and not w_k), in that order;
+    scan(a) has checked its letters.  Return the unique 1-based time at
+    which the lines carrying w_k and v cross in a."""
+    a, w, pairs = s
     if len(set(pairs)) != len(pairs):
         raise ValueError(f"word is not reduced: {a.letters}")
     if not 1 <= k <= a.n:
@@ -182,10 +220,10 @@ def _start_time(a: Word, k: int, v: int) -> tuple[int, Perm, list[tuple[int, int
     if u == v:
         raise ValueError(f"value v={v} equals w_{k}, so there are no two lines to bump")
     wanted = (min(u, v), max(u, v))
-    times = [t for t, pair in enumerate(pairs, start=1) if pair == wanted]
-    if len(times) != 1:
-        raise ValueError(f"values {wanted} cross {len(times)} times in {a.letters}")
-    return times[0], w, pairs
+    times = pairs.count(wanted)
+    if times != 1:
+        raise ValueError(f"values {wanted} cross {times} times in {a.letters}")
+    return pairs.index(wanted) + 1
 
 
 def reverse(a: Word) -> Word:
@@ -203,13 +241,7 @@ def little_map_inverse(a: Word, k: int, v: int) -> Word:
     >>> little_map_inverse(Word((3, 2, 1, 2, 3), 6), 2, 4).letters
     (4, 3, 1, 2, 3)
     """
-    out = _bump(a, *_start_time(a, k, v), upward=True)
-    if out is None:
-        raise ValueError(
-            f"{format_word(a.letters)} is not in the image of theta_{{{k},{v}}} "
-            f"in ambient size {a.n}"
-        )
-    return out
+    return little_chain(scan(a), k, v, upward=True).word
 
 
 def parse_word(text: str) -> tuple[int, ...]:

@@ -50,6 +50,8 @@ lam with entries at most m.
 The peel expands a symmetric polynomial on Schur polynomials by
 subtracting c s_lam for its leading monomial c x^lam until nothing is
 left, then rebuilds the polynomial from every s_lam of the tableau sum.
+The candidate scan lists schur_expand's candidates by filtering every
+weakly decreasing tuple on its sum.
 
 The tuple-key transition computes the double Schubert polynomial by the
 same recursion as the library, multiplying by each root factor x_i - y_j
@@ -76,7 +78,7 @@ frozen tableau built on the shape code_partition.
 """
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import factorial, prod
 
 from stanley.permutations import (
@@ -203,6 +205,17 @@ def schur_expand_by_peel(f, m):
         total += c * schur_poly_by_tableaux(lam, m)
     assert total == f, "Schur reconstruction failed"
     return coeffs
+
+
+def schur_candidates_by_scan(degrees, m, top):
+    """polynomials._schur_candidates by filtering every weakly decreasing
+    m-tuple with entries at most top, in lexicographically descending
+    order, on its sum."""
+    return [
+        lam
+        for lam in combinations_with_replacement(range(top, -1, -1), m)
+        if sum(lam) in degrees
+    ]
 
 
 def replace_tiles(p, changes):

@@ -1,11 +1,16 @@
 import random
 import weakref
+from itertools import islice
 
 import pytest
 
 import stanley.bijection
 import stanley.pipedreams
 import stanley.tableaux
+import stanley.words
+
+import oracles
+from oracles import little_map_by_words, little_map_inverse_by_complement
 
 from stanley.bijection import (
     backward_walk,
@@ -137,14 +142,15 @@ def test_theorem_on_all_of_s6():
     assert tableaux == 1007
 
 
-def test_theorem_on_all_of_s7():
-    # The assertions of the S6 test on every w in S7.  The tableaux come
-    # from one weak-order memo shared across the group, and the
-    # EG-pipedreams from the leaves of the EG tree, which equal the
-    # filtered closure on S1-S6 (tests/test_cli.py).
+def _theorem_on(elements):
+    """The assertions of the S6 test on each w of elements, and the number
+    of reduced word tableaux checked.  The tableaux come from one
+    weak-order memo shared across the elements, and the EG-pipedreams from
+    the leaves of the EG tree, which equal the filtered closure on S1-S6
+    (tests/test_cli.py)."""
     memo = {}
     tableaux = 0
-    for w in all_permutations(7):
+    for w in elements:
         tabs = _tableaux_of(inverse(w), memo)
         tree = eg_tree(w)
         leaves = [leaf.pipedream for leaf in tree.leaves()]
@@ -155,7 +161,18 @@ def test_theorem_on_all_of_s7():
         for t, p in zip(tabs, images):
             assert is_eg(p) == shape(t) and gamma_inverse(p) == t, (w, t)
         tableaux += len(tabs)
-    assert tableaux == 9361
+    return tableaux
+
+
+def test_theorem_on_all_of_s7():
+    assert _theorem_on(all_permutations(7)) == 9361
+
+
+def test_theorem_on_every_16th_element_of_s8():
+    # Every 16th element of S8 in lexicographic order, from the first.
+    elements = list(islice(all_permutations(8), 0, None, 16))
+    assert len(elements) == 2520
+    assert _theorem_on(elements) == 4065
 
 
 def test_roundtrip_231654():
@@ -211,6 +228,51 @@ def test_each_walk_inserts_once_per_step(monkeypatch):
             calls.clear()
             assert gamma(t, w) == p
             assert len(calls) == steps, (w, t)
+
+
+def test_each_walk_scans_each_chain_word_once(monkeypatch):
+    # A walk scans its start word, and each bump of its Little maps scans
+    # the word it makes; the last scan of a chain hands the next map its
+    # permutation and crossing pairs.  So a walk makes 1 + (bumps) scans.
+    # The bumps are counted on the word-at-a-time oracles, whose results
+    # are the walk's words.  The only evaluations are the two of the
+    # reduced word tableau check; the chain makes none.
+    scans, evaluations, bumps = [], [], []
+    crossings = stanley.words._crossings
+    monkeypatch.setattr(
+        stanley.words, "_crossings", lambda *args: scans.append(args) or crossings(*args)
+    )
+    for module in (stanley.words, stanley.tableaux):
+        monkeypatch.setattr(
+            module, "evaluate", lambda a, f=module.evaluate: evaluations.append(a) or f(a)
+        )
+    monkeypatch.setattr(
+        oracles, "bump_at", lambda *args, f=oracles.bump_at: bumps.append(args) or f(*args)
+    )
+
+    def oracle_bumps(steps, theta):
+        bumps.clear()
+        for before, after in zip(steps, steps[1:]):
+            assert theta(before.word, *after.box) == after.word
+        return len(bumps)
+
+    walks = further = 0
+    for w in [W231654, W321654, (1, 4, 7, 2, 5, 8, 3, 6, 9), (2, 1, 3), (4, 1, 5, 3, 2)]:
+        for leaf in eg_tree(w).leaves():
+            scans.clear()
+            evaluations.clear()
+            back = backward_walk(leaf.pipedream)
+            made = len(scans), len(evaluations)
+            assert made == (1 + oracle_bumps(back, little_map_inverse_by_complement), 2)
+            scans.clear()
+            evaluations.clear()
+            walk = forward_walk(back[-1].tableau, w)
+            made = len(scans), len(evaluations)
+            assert made == (1 + oracle_bumps(walk, little_map_by_words), 2)
+            walks += 1
+            further += made[0] - len(walk)
+    # 16 walks each way; the forward maps bump 32 times past their first bump.
+    assert (walks, further) == (16, 32)
 
 
 def test_round_trip_traces_each_pipedream_once(monkeypatch):

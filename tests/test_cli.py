@@ -118,10 +118,10 @@ def test_little_empty_word_in_ambient_size_zero(capsys):
 def test_little_inverse_failing_inside_the_backward_walk_exits_3(capsys, monkeypatch):
     # The backward walk only meets words in the image, so the same failure
     # there is a fault of the program.
-    def outside_image(a, k, v):
+    def outside_image(s, k, v, upward):
         return little_map_inverse(word((3, 2, 3, 1, 2, 3), 4), 4, 2)
 
-    monkeypatch.setattr("stanley.bijection.little_map_inverse", outside_image)
+    monkeypatch.setattr("stanley.bijection.little_chain", outside_image)
     status, out, err = run(
         capsys, "bijection", "backward", "...r--/.r-jr-/.|r-+-/r+jrjr/||rjr+/|||r++"
     )

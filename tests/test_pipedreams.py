@@ -49,6 +49,7 @@ from stanley.pipedreams import (
     reverse_droop,
     rothe,
     rothe_diagram,
+    rothe_flags,
     validate,
 )
 from stanley.polynomials import SparsePoly, double_schubert, eg_coeffs, schubert_bjs, weight
@@ -117,6 +118,34 @@ def test_rothe_properties(w):
     boxes = frozenset(p.empty_boxes())
     assert boxes == rothe_diagram(w)
     assert len(boxes) == length(w)
+
+
+def _zeros(flags):
+    return {
+        (i, j)
+        for i, row in enumerate(flags, start=1)
+        for j, flag in enumerate(row, start=1)
+        if flag == "0"
+    }
+
+
+def test_rothe_flags_are_the_rothe_diagram():
+    # On all of S1-S6 and 40 seeded elements of S7: "0" exactly at the
+    # boxes of the Rothe diagram, which are the empty boxes of rothe(w).
+    rng = random.Random(31)
+    elements = [w for n in range(1, 7) for w in all_permutations(n)]
+    elements += rng.sample(list(all_permutations(7)), 40)
+    for w in elements:
+        flags = rothe_flags(w)
+        assert len(flags) == len(w) and {len(row) for row in flags} <= {len(w)}, w
+        assert set("".join(flags)) <= set("01"), w
+        assert _zeros(flags) == rothe_diagram(w), w
+        assert rothe(w).empty_flags() == flags, w
+    # And the empty flags of every bumpless pipedream of S1-S4.
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            for p in enumerate_all(w):
+                assert _zeros(p.empty_flags()) == set(p.empty_boxes()), render(p)
 
 
 def test_boxes_match_the_character_scan():

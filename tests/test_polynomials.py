@@ -21,6 +21,7 @@ from oracles import (
     is_vexillary,
     macdonald_sum,
     schubert_by_staircase,
+    schur_candidates_by_scan,
     schur_expand_by_peel,
     schur_poly_by_tableaux,
     staircase,
@@ -36,6 +37,7 @@ from stanley.permutations import (
     longest_element,
     reduced_words,
 )
+import stanley.polynomials as polynomials
 from stanley.pipedreams import enumerate_all
 from stanley.polynomials import (
     SparsePoly,
@@ -404,6 +406,29 @@ def test_schur_expand_round_trip():
     assert schur_expand(f, 4) == {(3, 1): 1, (2, 2): 2}
     assert schur_expand(SparsePoly.constant(3), 0) == {(): 3}
     assert schur_expand(SparsePoly.zero(), 0) == {}
+
+
+def test_schur_candidates_match_the_scan_of_every_tuple(monkeypatch):
+    # The candidates schur_expand lists on the truncation of each w in
+    # S1-S6 that the monomial route expands are those of the scan, in the
+    # same order.
+    calls = []
+    candidates = polynomials._schur_candidates
+    monkeypatch.setattr(
+        polynomials,
+        "_schur_candidates",
+        lambda *args: calls.append(args) or candidates(*args),
+    )
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            eg_coeffs(w, "monomial")
+    assert len(calls) == 873
+    listed = 0
+    for degrees, m, top in calls:
+        expected = schur_candidates_by_scan(degrees, m, top)
+        assert candidates(degrees, m, top) == expected, (degrees, m, top)
+        listed += len(expected)
+    assert listed == 4223
 
 
 def test_schur_expand_leaves_no_cycles():

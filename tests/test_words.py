@@ -4,6 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stanley.words
+
 from oracles import (
     bump_at,
     complement_word,
@@ -21,10 +23,12 @@ from stanley.words import (
     format_word,
     is_reduced,
     little_bump,
+    little_chain,
     little_map,
     little_map_inverse,
     parse_word,
     reverse,
+    scan,
     word,
 )
 
@@ -225,9 +229,26 @@ def outcome(f, *args):
         return type(e), str(e)
 
 
-def test_little_maps_match_the_word_at_a_time_oracles():
+def test_little_maps_match_the_word_at_a_time_oracles(monkeypatch):
     # Every reduced word of S1-S5, then seeded reduced words of S6 and S7,
     # each with every (k, v) in 1..n, those outside the image included.
+    # little_chain on the word's scan gives the same word, errors included,
+    # with that word's permutation and crossing pairs, and evaluates nothing.
+    evaluations = []
+    monkeypatch.setattr(
+        stanley.words, "evaluate", lambda a: evaluations.append(a) or evaluate(a)
+    )
+
+    def chain(a, k, v, upward):
+        s = scan(a)
+        evaluations.clear()
+        try:
+            out = little_chain(s, k, v, upward)
+        finally:
+            assert evaluations == [], (a, k, v)
+        assert out == scan(out.word)
+        return out.word
+
     words = [
         Word(letters, n)
         for n in range(1, 6)
@@ -240,10 +261,17 @@ def test_little_maps_match_the_word_at_a_time_oracles():
             words.append(Word(random_reduced_word(rng.sample(range(1, n + 1), n), rng), n))
     for a in words:
         for k, v in product(range(1, a.n + 1), repeat=2):
-            assert outcome(little_map, a, k, v) == outcome(little_map_by_words, a, k, v)
-            assert outcome(little_map_inverse, a, k, v) == outcome(
-                little_map_inverse_by_complement, a, k, v
-            )
+            down = outcome(little_map_by_words, a, k, v)
+            assert outcome(little_map, a, k, v) == outcome(chain, a, k, v, False) == down
+            up = outcome(little_map_inverse_by_complement, a, k, v)
+            assert outcome(little_map_inverse, a, k, v) == outcome(chain, a, k, v, True) == up
+
+
+def test_scan_is_one_pass():
+    a = Word((5, 4, 1, 2, 5), 6)
+    assert scan(a) == (a, evaluate(a), crossing_pairs(a))
+    with pytest.raises(ValueError, match="letter 6 out of range for ambient size 6"):
+        scan(Word((6,), 6))
 
 
 def test_little_map_known_values():
