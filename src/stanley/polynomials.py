@@ -22,7 +22,11 @@ total degree.  No field can exceed the total degree, so none carries into
 the next, and the kernel raises ValueError rather than multiply a term of
 degree bound by one more factor.  Every term of S_w(x;y), and of the
 weight of each bumpless pipedream of w, has degree length(w) and, for w
-in S_n, no variable past x_(n-1) and y_(n-1).
+in S_n, no variable past x_(n-1) and y_(n-1).  double_schubert and
+weight unpack these products.  verify's weight sum check
+(weights_sum_to_double_schubert) multiplies nothing out: it compares
+the transition's box lists with the pipedreams' empty boxes, and
+expands both sides packed only when they differ.
 
 >>> print(schubert_bjs((3, 2, 1)))
 x1^2*x2
@@ -505,19 +509,80 @@ def weight(p: BumplessPipedream) -> SparsePoly:
     return roots.unpack(roots.product(boxes))
 
 
+def _box_lists(
+    w: Perm, stride: int, bits: int, memo: dict[Perm, dict[int, int]]
+) -> dict[int, int]:
+    """
+    The transition of double_schubert unrolled without multiplying out:
+    the multiset of the box lists of its terms, each list standing for
+    the product of x_i - y_j over its boxes (i, j).  A list is packed
+    into one int with a count field of bits bits for each box, at
+    ((i - 1) * stride + j - 1) * bits; bits must hold length(w), the
+    length of every list.  The term (x_r - y_{w_s}) S_v adds the box
+    (r, w_s) to each of v's lists, each S_{v t_ir} adds its multiset
+    unchanged, and the identity gives the empty list.  Memoised in memo.
+    """
+    if w in memo:
+        return memo[w]
+    if not descents(w):
+        return {0: 1}
+    r, s, v, pivots = last_descent_step(w)
+    box = 1 << ((r - 1) * stride + w[s - 1] - 1) * bits
+    out = {key + box: c for key, c in _box_lists(v, stride, bits, memo).items()}
+    for i in pivots:
+        for key, c in _box_lists(apply_transposition(v, i, r), stride, bits, memo).items():
+            out[key] = out.get(key, 0) + c
+    memo[w] = out
+    return out
+
+
+def _weights_sum_packed(w: Perm, dreams: list[BumplessPipedream]) -> bool:
+    """weights_sum_to_double_schubert by expanding both sides into packed
+    monomials; the transition goes first, so that its memo is freed
+    before the weights are summed."""
+    roots = _PackedRoots(max(len(w) - 1, 0), length(w))
+    transition = _double_schubert(w, roots, {})
+    total = roots.sum(roots.product(p.empty_boxes()) for p in dreams)
+    return total == transition and roots.y_free(total) == schubert_bjs(w)
+
+
 def weights_sum_to_double_schubert(w: Perm, dreams: Iterable[BumplessPipedream]) -> bool:
-    """Whether the weights of dreams sum to double_schubert(w) and, at
-    y = 0, to schubert_bjs(w), compared packed; the transition goes first,
-    so that its memo is freed before the weights are summed.
+    """
+    Whether the weights of dreams sum to double_schubert(w) and, at y = 0,
+    to schubert_bjs(w), compared factor by factor rather than expanded:
+
+    - the multiset of the dreams' empty box lists must equal the box lists
+      of the transition's terms (_box_lists), which gives equal sums of
+      products of x_i - y_j (Lam, Lee and Shimozono's bumpless pipedream
+      formula, proved through the transition by Weigandt);
+    - at y = 0 each weight is the one monomial with x_i raised to the
+      number of empty boxes in row i, and these must sum to schubert_bjs(w).
+
+    When either differs, the packed expansion of both sides decides
+    (_weights_sum_packed), so the verdict, and the ValueError of a box
+    outside x1..x(n-1), y1..y(n-1) or of more than length(w) empty boxes,
+    are those of the expansion.
 
     >>> from stanley.pipedreams import enumerate_all
     >>> weights_sum_to_double_schubert((1, 3, 2), enumerate_all((1, 3, 2)))
     True
     """
-    roots = _PackedRoots(max(len(w) - 1, 0), length(w))
-    transition = _double_schubert(w, roots, {})
-    total = roots.sum(roots.product(p.empty_boxes()) for p in dreams)
-    return total == transition and roots.y_free(total) == schubert_bjs(w)
+    dreams = list(dreams)
+    ell, stride = length(w), max(len(w) - 1, 0)
+    bits = max(ell.bit_length(), 1)
+    lists: dict[int, int] = {}
+    monomials: dict[TermKey, int] = {}
+    for p in dreams:
+        boxes = p.empty_boxes()
+        if len(boxes) > ell or any(i > stride or j > stride for i, j in boxes):
+            return _weights_sum_packed(w, dreams)
+        key = sum(1 << ((i - 1) * stride + j - 1) * bits for i, j in boxes)
+        lists[key] = lists.get(key, 0) + 1
+        xe = _trim(tuple(row.count(".") for row in p.rows))
+        monomials[xe, ()] = monomials.get((xe, ()), 0) + 1
+    if lists == _box_lists(w, stride, bits, {}) and SparsePoly._of(monomials) == schubert_bjs(w):
+        return True
+    return _weights_sum_packed(w, dreams)
 
 
 @lru_cache(maxsize=None)

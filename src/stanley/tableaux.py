@@ -81,48 +81,33 @@ def column_reading_word(t: Tableau) -> tuple[int, ...]:
     return tuple([row[j] for j in reversed(range(len(t[0]))) for row in t if len(row) > j])
 
 
-def _row_insert(
-    rows: list[list[int]], letters: Iterable[int], recording: list[list[int]] | None = None
-) -> None:
+def _bump(row: list[int], x: int) -> int | None:
     """
-    Row-insert the letters one by one into the increasing tableau rows, in
-    place.  When recording is given, each letter's time (counted from 1)
-    goes at the end of the recording row whose tableau row gained a box.
-
-    Append x if it exceeds the last entry of the row; otherwise bump the
-    leftmost entry y > x, replacing it by x only when that keeps the row
-    strictly increasing (when x already sits just left of y the row is
-    kept as is), and insert y into the next row.
+    Insert x into one increasing row, in place: append x if it exceeds the
+    last entry and return None; otherwise return the leftmost entry y > x,
+    the letter bumped into the next row, replacing it by x only when that
+    keeps the row strictly increasing (when x already sits just left of y
+    the row is kept as is).
     """
-    time = 0
-    for x in letters:
-        for r, row in enumerate(rows):
-            if x > row[-1]:
-                row.append(x)
-                break
-            j = bisect_right(row, x)
-            # j < len(row) since x <= row[-1] and x equal to the row maximum
-            # cannot happen while inserting a reduced word.
-            assert j < len(row), f"letter {x} equals the maximum of row {row}"
-            y = row[j]
-            if j == 0 or row[j - 1] < x:
-                row[j] = x
-            x = y
-        else:
-            r = len(rows)
-            rows.append([x])
-        if recording is not None:
-            time += 1
-            if r == len(recording):
-                recording.append([time])
-            else:
-                recording[r].append(time)
+    if x > row[-1]:
+        row.append(x)
+        return None
+    j = bisect_right(row, x)
+    # j < len(row) since x <= row[-1] and x equal to the row maximum
+    # cannot happen while inserting a reduced word.
+    assert j < len(row), f"letter {x} equals the maximum of row {row}"
+    y = row[j]
+    if j == 0 or row[j - 1] < x:
+        row[j] = x
+    return y
 
 
 def eg_insert(letters: Iterable[int]) -> tuple[Tableau, Tableau]:
     """
-    Insert a word letter by letter (see _row_insert), returning the
-    insertion tableau P and the standard recording tableau Q.
+    Insert a word letter by letter, each bumped down the rows by _bump,
+    returning the insertion tableau P and the standard recording tableau
+    Q: each letter's time (counted from 1) goes at the end of the row of Q
+    whose row of P gained a box.
 
     >>> eg_insert((2, 3, 1, 6, 4, 3, 2))[0]
     ((1, 2, 4), (2, 3), (4,), (6,))
@@ -131,8 +116,34 @@ def eg_insert(letters: Iterable[int]) -> tuple[Tableau, Tableau]:
     """
     rows: list[list[int]] = []
     recording: list[list[int]] = []
-    _row_insert(rows, letters, recording)
+    for time, x in enumerate(letters, start=1):
+        # r counts the rows passed by hand: cheaper than enumerate here.
+        r = 0
+        for row in rows:
+            x = _bump(row, x)
+            if x is None:
+                break
+            r += 1
+        else:
+            rows.append([x])
+        if r == len(recording):
+            recording.append([time])
+        else:
+            recording[r].append(time)
     return tuple(map(tuple, rows)), tuple(map(tuple, recording))
+
+
+def _insert_letter(t: Tableau, x: int) -> Tableau:
+    """t <- x by _bump, as a new tableau: only the rows x enters are
+    copied, and the rows below them are shared with t."""
+    out = []
+    for r, row in enumerate(t):
+        row = list(row)
+        x = _bump(row, x)
+        out.append(tuple(row))
+        if x is None:
+            return (*out, *t[r + 1:])
+    return (*out, (x,))
 
 
 def insertion_tableau(letters: Iterable[int]) -> Tableau:
@@ -187,10 +198,7 @@ def _tableaux_of(v: Perm, memo: dict[Perm, set[Tableau]]) -> set[Tableau]:
     down = descents(v)
     found: set[Tableau] = set() if down else {()}
     for d in down:
-        for p in _tableaux_of(multiply_simple(v, d), memo):
-            rows = [list(row) for row in p]
-            _row_insert(rows, (d,))
-            found.add(tuple(tuple(row) for row in rows))
+        found.update(_insert_letter(p, d) for p in _tableaux_of(multiply_simple(v, d), memo))
     memo[v] = found
     return found
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import stanley.polynomials as polynomials
 from stanley.cli import main
 from stanley.permutations import all_permutations, format_permutation
 from stanley.pipedreams import enumerate_all, is_eg, parse, render
@@ -314,6 +315,50 @@ def test_verify_fails_when_a_pipedream_is_missing(capsys, monkeypatch):
         "weight sum:  FAIL\n"
         "status: FAIL\n"
     )
+
+
+def test_verify_fails_when_a_pipedream_repeats(capsys, monkeypatch):
+    def with_the_first_twice(w):
+        dreams = enumerate_all(w)
+        return [*dreams, dreams[0]]
+
+    monkeypatch.setattr("stanley.cli.enumerate_all", with_the_first_twice)
+    status, out, _ = run(capsys, "verify", "231654")
+    assert status == 1
+    assert out.splitlines()[-2:] == ["weight sum:  FAIL", "status: FAIL"]
+
+
+def test_verify_output_is_the_same_from_the_fallback(capsys, monkeypatch):
+    # Box lists made to differ send every weight sum check to the packed
+    # expansion, which must print the same.
+    perms = [format_permutation(w) for n in range(1, 6) for w in all_permutations(n)]
+    expected = [run(capsys, "verify", w) for w in perms]
+    box_lists, packed, fallbacks = polynomials._box_lists, polynomials._weights_sum_packed, []
+
+    def counting(w, dreams):
+        fallbacks.append(w)
+        return packed(w, dreams)
+
+    monkeypatch.setattr(polynomials, "_box_lists", lambda *args: {**box_lists(*args), -1: 1})
+    monkeypatch.setattr(polynomials, "_weights_sum_packed", counting)
+    assert [run(capsys, "verify", w) for w in perms] == expected
+    assert len(fallbacks) == len(perms) == 153
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("r-./|r-/||r", "root x1 - y3 outside x1..x2, y1..y2"),
+        ("..r/r+-/||r", "a root factor past the degree bound 1"),
+    ],
+)
+def test_verify_of_a_bad_grid_is_a_usage_error(capsys, monkeypatch, rows, message):
+    bad = parse(rows.replace("/", "\n"))
+    monkeypatch.setattr("stanley.cli.enumerate_all", lambda w: [*enumerate_all(w), bad])
+    status, out, err = run(capsys, "verify", "132")
+    assert status == 2
+    assert err == f"error: {message}\n"
+    assert "weight sum" not in out
 
 
 def test_verify_checks_the_row_count(capsys, monkeypatch):

@@ -38,7 +38,7 @@ from stanley.permutations import (
     reduced_words,
 )
 import stanley.polynomials as polynomials
-from stanley.pipedreams import enumerate_all
+from stanley.pipedreams import BumplessPipedream, enumerate_all
 from stanley.polynomials import (
     SparsePoly,
     _PackedRoots,
@@ -197,6 +197,74 @@ def test_weight_sum_check_fails_on_a_wrong_list(w, monkeypatch):
     # The y-free comparison alone can fail the check too.
     monkeypatch.setattr("stanley.polynomials.schubert_bjs", lambda w: SparsePoly.zero())
     assert not weights_sum_to_double_schubert(w, dreams)
+
+
+def unpack_box_lists(lists, n, bits):
+    """The packed box lists of polynomials._box_lists for an element of
+    S_n, as a Counter of box tuples in row-major order."""
+    fields, mask = (n - 1) ** 2, (1 << bits) - 1
+    out = Counter()
+    for key, c in lists.items():
+        assert key >= 0 and key >> fields * bits == 0, key
+        boxes = []
+        for index in range(fields):
+            boxes += [divmod(index, n - 1)] * (key >> index * bits & mask)
+        out[tuple((i + 1, j + 1) for i, j in boxes)] += c
+    return out
+
+
+_rng = random.Random(131)
+BOX_LIST_SAMPLE = [
+    *(tuple(_rng.sample(range(1, 8), 7)) for _ in range(200)),
+    *(tuple(_rng.sample(range(1, 9), 8)) for _ in range(40)),
+    (8, 5, 2, 7, 4, 6, 3, 1),
+]
+
+
+@pytest.fixture(scope="module")
+def dreams_of_s1_to_s6():
+    return [(w, enumerate_all(w)) for n in range(1, 7) for w in all_permutations(n)]
+
+
+def test_transition_box_lists_are_the_empty_box_lists(dreams_of_s1_to_s6):
+    # The multiset behind weights_sum_to_double_schubert, unpacked: the
+    # transition's box lists are the bumpless pipedreams' empty boxes.
+    sample = [(w, enumerate_all(w)) for w in BOX_LIST_SAMPLE]
+    for w, dreams in dreams_of_s1_to_s6 + sample:
+        bits = max(length(w).bit_length(), 1)
+        lists = polynomials._box_lists(w, max(len(w) - 1, 0), bits, {})
+        expected = Counter(tuple(p.empty_boxes()) for p in dreams)
+        assert unpack_box_lists(lists, len(w), bits) == expected, w
+
+
+def test_weight_sum_check_expands_nothing_on_s1_to_s6(dreams_of_s1_to_s6, monkeypatch):
+    def expanded(*args):
+        raise AssertionError("the weight sum check expanded the transition")
+
+    monkeypatch.setattr(polynomials, "_double_schubert", expanded)
+    for w, dreams in dreams_of_s1_to_s6:
+        assert weights_sum_to_double_schubert(w, dreams), w
+
+
+@pytest.mark.parametrize(
+    "w, rows, message",
+    [
+        # A box in the last column or row, past x(n-1) and y(n-1).
+        ((1, 3, 2), ("r-.", "|r-", "||r"), "root x1 - y3 outside x1..x2, y1..y2"),
+        ((1, 3, 2), ("r--", "|r-", "||."), "root x3 - y3 outside x1..x2, y1..y2"),
+        ((2, 1), ("..", "r-"), "root x1 - y2 outside x1..x1, y1..y1"),
+        ((1,), (".",), "root x1 - y1 outside x1..x0, y1..y0"),
+        # More empty boxes than length(w).
+        ((1, 3, 2), ("..r", "r+-", "||r"), "a root factor past the degree bound 1"),
+        ((2, 1, 3), ("...r", "r+--", "||r-", "|||r"), "a root factor past the degree bound 1"),
+    ],
+)
+def test_weight_sum_check_refuses_boxes_the_expansion_refuses(w, rows, message):
+    bad = BumplessPipedream(len(rows), rows)
+    for dreams in ([bad], [*enumerate_all(w), bad], [bad, *enumerate_all(w)]):
+        with pytest.raises(ValueError) as caught:
+            weights_sum_to_double_schubert(w, dreams)
+        assert type(caught.value) is ValueError and str(caught.value) == message
 
 
 def test_display():

@@ -15,8 +15,10 @@ from oracles import (
 )
 from stanley.permutations import (
     all_permutations,
+    descents,
     inverse,
     longest_element,
+    multiply_simple,
     reduced_words,
 )
 from stanley.polynomials import eg_coeffs
@@ -245,6 +247,37 @@ def test_s8_stanley_count(w):
     assert sum(
         hook_length_count(shape(t)) for t in enumerate_reduced_word_tableaux(w)
     ) == count_reduced_words(w, {})
+
+
+def tableaux_by_insertion(v, memo):
+    """The insertion tableaux of the reduced words of v by eg_insert alone,
+    memoised on v.  A word of v is a word a of v s_d followed by a descent
+    d, and eg_insert gives P(a) back from its row reading word (asserted),
+    so P(a d) is eg_insert of that reading word followed by d."""
+    if v not in memo:
+        down = descents(v)
+        found = set() if down else {()}
+        for d in down:
+            for p in tableaux_by_insertion(multiply_simple(v, d), memo):
+                assert eg_insert(row_reading_word(p))[0] == p
+                found.add(eg_insert((*row_reading_word(p), d))[0])
+        memo[v] = found
+    return memo[v]
+
+
+_rng = random.Random(307)
+S7_SAMPLE = [tuple(_rng.sample(range(1, 8), 7)) for _ in range(150)]
+
+
+def test_one_descent_insertion_matches_eg_insert():
+    # _tableaux_of inserts one descent into a tableau held as tuples; on
+    # every element of S1-S6 and seeded ones of S7 it must give the
+    # tableaux of eg_insert, and word by word where S7 has few words.
+    memo, oracle_memo, words = {}, {}, {}
+    for v in [*(v for n in range(1, 7) for v in all_permutations(n)), *S7_SAMPLE]:
+        assert _tableaux_of(v, memo) == tableaux_by_insertion(v, oracle_memo), v
+        if len(v) == 7 and count_reduced_words(v, words) <= 3000:
+            assert memo[v] == {eg_insert(a)[0] for a in reduced_words(v)}, v
 
 
 def test_w0_of_s7_has_only_the_frozen_tableau():
